@@ -76,7 +76,13 @@ def _number(raw: dict, key: str) -> float:
     value = raw[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):  # json accepts Infinity, -Infinity and NaN
+        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
+    return number
 
 
 def _angle(raw: dict, stem: str) -> float:

@@ -9,6 +9,7 @@ it drops below 10.
 """
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 from dataclasses import dataclass, field
@@ -44,20 +45,44 @@ class MissionPlan:
     hover_dominance: float
 
 
-def _hex_overlaps_rect(cx: float, cy: float, circumradius: float,
-                       width: float, height: float) -> bool:
-    """Positive-area overlap between the hexagon at (cx, cy) and
-    [0, width] x [0, height], by separating-axis projections."""
+def _hex_overlaps_rect(cx, cy, circumradius: float, width: float, height: float):
+    """Positive-area overlap between the hexagons at (cx, cy) and
+    [0, width] x [0, height], by separating-axis projections. cx and cy are
+    arrays (broadcast together); the result is a boolean array."""
     eps = 1e-9 * circumradius
+    overlaps = True
     for (ax, ay), factor in zip(_AXES, _HEX_EXTENT_FACTORS):
         center_proj = cx * ax + cy * ay
         extent = factor * circumradius
         corner_projs = (0.0, width * ax, height * ay, width * ax + height * ay)
         lo = min(corner_projs)
         hi = max(corner_projs)
-        if min(hi, center_proj + extent) - max(lo, center_proj - extent) <= eps:
-            return False
-    return True
+        overlaps = overlaps & (np.minimum(hi, center_proj + extent)
+                               - np.maximum(lo, center_proj - extent) > eps)
+    return overlaps
+
+
+def _serpentine(columns: list, y_rank: list) -> list:
+    """Closed visiting order over lattice columns, left to right, each column
+    a list of cell ids bottom to top.
+
+    Column 0 goes up, the middle columns alternate down and up without their
+    bottom cells, the last column goes down, and the tour returns along the
+    skipped bottom cells. That needs an even column count, so an odd count
+    merges the last two columns into one, ordered by y_rank (neighbouring
+    columns are offset half a row, so each step of the merge is one pitch).
+    """
+    if len(columns) % 2 and len(columns) > 1:
+        columns = columns[:-2] + [sorted(columns[-2] + columns[-1], key=y_rank.__getitem__)]
+    if len(columns) == 1:
+        return columns[0]
+    first, *middle, last = columns
+    order = list(first)
+    for index, column in enumerate(middle):
+        order += column[:0:-1] if index % 2 == 0 else column[1:]
+    order += last[::-1]
+    order += [column[0] for column in reversed(middle)]
+    return order
 
 
 def layout_centers(width_m: float, height_m: float, circumradius_m: float) -> np.ndarray:
@@ -65,37 +90,37 @@ def layout_centers(width_m: float, height_m: float, circumradius_m: float) -> np
 
     Keeps every lattice cell whose hexagon overlaps the rectangle, so each
     area point lies in some kept cell and therefore within circumradius of
-    its center. Edge cells overhang the boundary; that is intended.
+    its center. Edge cells overhang the boundary; that is intended. The
+    centers come in the serpentine order of _serpentine, taken from the
+    lattice indices, which plan_tour can use as its start tour.
     """
     if width_m <= 0.0 or height_m <= 0.0:
         raise ValueError(f"rectangle dims must be > 0, got {width_m} x {height_m}")
     rbar = circumradius_m
     if rbar <= 0.0:
         raise ValueError(f"circumradius must be > 0, got {rbar}")
-    centers = []
     j_hi = math.floor((width_m + rbar) / (1.5 * rbar)) + 1
     k_hi = math.floor((height_m + SQRT3 * rbar) / (SQRT3 * rbar)) + 1
-    for j in range(-1, j_hi + 1):
-        cx = 1.5 * rbar * j
-        y_off = SQRT3 / 2 * rbar if j % 2 else 0.0
-        for k in range(-1, k_hi + 1):
-            cy = SQRT3 * rbar * k + y_off
-            if _hex_overlaps_rect(cx, cy, rbar, width_m, height_m):
-                centers.append((cx, cy))
-    return np.array(centers, dtype=float)
+    j = np.arange(-1, j_hi + 1)[:, None]
+    k = np.arange(-1, k_hi + 1)[None, :]
+    cx = np.broadcast_to(1.5 * rbar * j, (j.size, k.size))
+    cy = SQRT3 * rbar * k + (j % 2) * (SQRT3 / 2 * rbar)  # odd columns half a row up
+    keep = _hex_overlaps_rect(cx, cy, rbar, width_m, height_m)
+    columns = [(np.flatnonzero(row) + c * k.size).tolist()
+               for c, row in enumerate(keep) if row.any()]
+    order = _serpentine(columns, (2 * k + j % 2).ravel().tolist())
+    return np.column_stack((cx.ravel()[order], cy.ravel()[order]))
 
 
 def _cycle_length(points: np.ndarray, order: list) -> float:
-    total = 0.0
-    n = len(order)
-    for i in range(n):
-        a = points[order[i]]
-        b = points[order[(i + 1) % n]]
-        total += math.hypot(b[0] - a[0], b[1] - a[1])
-    return total
+    pts = points[order]
+    return float(np.hypot(*(np.roll(pts, -1, axis=0) - pts).T).sum())
 
 
-def _two_opt(points: np.ndarray, order: list) -> list:
+_GAIN_TOL = 1e-9  # a 2-opt move must shorten the cycle by more than this
+
+
+def _two_opt(points: np.ndarray, order: list, pitch: float = 0.0) -> list:
     """Reverse tour segments while any swap shortens the cycle.
 
     For each cut position i the deltas of all candidate second cuts j are
@@ -103,28 +128,47 @@ def _two_opt(points: np.ndarray, order: list) -> list:
     Segment lengths are cached and patched after each reversal (interior
     segments keep their lengths in reverse order, only the two cut edges
     change).
+
+    pitch > 0 promises that no two points are closer than pitch. Both edges a
+    move adds are then at least a pitch long, so a move gains more than
+    _GAIN_TOL only if its two removed edges exceed two pitches by that much:
+    when seg[i-1] is within _GAIN_TOL/2 of a pitch, only the j with seg[j]
+    above pitch + _GAIN_TOL/4 can improve (a quarter of the tolerance is
+    slack for rounding) and the rest of the row is skipped. The result is
+    the same order as with pitch 0.
     """
     order = np.asarray(order, dtype=int)
     pts = points[order]
     n = len(pts)
     seg = np.hypot(*(np.roll(pts, -1, axis=0) - pts).T)  # seg[i] = |p_i p_{i+1}|
+    prune = pitch > 0.0
+    short = pitch + _GAIN_TOL / 2
+    long_min = pitch + _GAIN_TOL / 4
+    long_js = np.flatnonzero(seg > long_min).tolist()
     improved = True
     while improved:
         improved = False
         for i in range(n - 1):
-            a = pts[i - 1]  # wraps to pts[n-1] when i == 0
-            b = pts[i]
             j_hi = n - 1 if i > 0 else n - 2  # whole-cycle reversal changes nothing
             if j_hi < i + 1:
                 continue
-            js = np.arange(i + 1, j_hi + 1)
+            if prune and seg[i - 1] <= short:
+                lo = bisect.bisect_left(long_js, i + 1)
+                hi = bisect.bisect_right(long_js, j_hi)
+                if lo == hi:
+                    continue
+                js = np.array(long_js[lo:hi])
+            else:
+                js = np.arange(i + 1, j_hi + 1)
+            a = pts[i - 1]  # wraps to pts[n-1] when i == 0
+            b = pts[i]
             c = pts[js]
             d = pts[(js + 1) % n]
             delta = (np.hypot(c[:, 0] - a[0], c[:, 1] - a[1])
                      + np.hypot(d[:, 0] - b[0], d[:, 1] - b[1])
                      - seg[i - 1] - seg[js])
             k = int(np.argmin(delta))
-            if delta[k] < -1e-9:
+            if delta[k] < -_GAIN_TOL:
                 j = int(js[k])
                 pts[i:j + 1] = pts[i:j + 1][::-1]
                 order[i:j + 1] = order[i:j + 1][::-1]
@@ -132,37 +176,48 @@ def _two_opt(points: np.ndarray, order: list) -> list:
                 seg[i - 1] = math.hypot(pts[i, 0] - a[0], pts[i, 1] - a[1])
                 jn = (j + 1) % n
                 seg[j] = math.hypot(pts[jn, 0] - pts[j, 0], pts[jn, 1] - pts[j, 1])
+                if prune:
+                    long_js = np.flatnonzero(seg > long_min).tolist()
                 improved = True
     return [int(v) for v in order]
 
 
-def plan_tour(centers: np.ndarray, start, v_max: float) -> MissionPlan:
+def plan_tour(centers: np.ndarray, start, v_max: float, *, pitch: float = 0.0) -> MissionPlan:
     """Geometry part of the plan: visit order and flying time, no hover yet.
 
     Nearest-neighbor construction from the point nearest `start`, improved by
-    2-opt until no move helps. tour_length_m is the closed cycle over the
-    centers; the depot leg is excluded (a single center gives length 0).
+    2-opt until no move helps. pitch > 0 promises that no two centers are
+    closer than pitch, as on a lattice: the centers' given order, restarted
+    at the point nearest `start`, then replaces nearest neighbor as the start
+    tour, and 2-opt skips the moves that cannot gain (see _two_opt).
+    tour_length_m is the closed cycle over the centers; the depot leg is
+    excluded (a single center gives length 0).
     """
     centers = np.asarray(centers, dtype=float)
     if centers.ndim != 2 or centers.shape[1] != 2 or len(centers) == 0:
         raise ValueError("centers must be a non-empty (n, 2) array")
     if v_max <= 0.0:
         raise ValueError(f"v_max must be > 0, got {v_max}")
+    if not pitch >= 0.0:
+        raise ValueError(f"pitch must be >= 0, got {pitch}")
     start = np.asarray(start, dtype=float)
     n = len(centers)
     cur = int(np.argmin(np.hypot(*(centers - start).T)))
-    order = [cur]
-    remaining = np.ones(n, dtype=bool)
-    remaining[cur] = False
-    for _ in range(n - 1):
-        dists = np.hypot(*(centers - centers[cur]).T)
-        dists[~remaining] = np.inf
-        cur = int(np.argmin(dists))
-        order.append(cur)
+    if pitch > 0.0:
+        order = list(range(cur, n)) + list(range(cur))
+    else:
+        order = [cur]
+        remaining = np.ones(n, dtype=bool)
         remaining[cur] = False
+        for _ in range(n - 1):
+            dists = np.hypot(*(centers - centers[cur]).T)
+            dists[~remaining] = np.inf
+            cur = int(np.argmin(dists))
+            order.append(cur)
+            remaining[cur] = False
     first = order[0]
     if n > 2:
-        order = _two_opt(centers, order)
+        order = _two_opt(centers, order, pitch)
         pos = order.index(first)  # 2-opt may rotate; restart the cycle at the
         order = order[pos:] + order[:pos]  # center nearest `start`
     length = _cycle_length(centers, order)
@@ -187,7 +242,7 @@ def assemble_plan(params: SystemParams, vars: DeploymentVars, mode: str,
     rbar = coverage_radius(vars.altitude_m, vars.half_beamwidth_rad)
     centers = layout_centers(width_m, height_m, rbar)
     depot = (0.0, 0.0)  # rectangle corner nearest the origin
-    base = plan_tour(centers, depot, v_max)
+    base = plan_tour(centers, depot, v_max, pitch=SQRT3 * rbar)  # lattice spacing
     if mode == MC:
         hover_each = per_cell_payload / (params.bandwidth_hz * cell_edge_rate_mc(params, vars))
     else:  # bc/mac serve each cell for the configured period
@@ -198,7 +253,7 @@ def assemble_plan(params: SystemParams, vars: DeploymentVars, mode: str,
     dominance = (math.inf if base.tour_length_m == 0.0
                  else hover_total * v_max / base.tour_length_m)
     if dominance < HOVER_DOMINANCE_MIN:
-        log.warning("hover time only %.2fx flying time; the hover-dominance "
+        log.warning("hover time only %.3gx flying time; the hover-dominance "
                     "assumption (>= %.0fx) does not hold", dominance, HOVER_DOMINANCE_MIN)
     return MissionPlan(centers=base.centers, tour_length_m=base.tour_length_m,
                        hover_times_s=hover, fly_time_s=fly,

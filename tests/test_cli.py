@@ -1,6 +1,10 @@
 """Command line front end: reports, CSV artifacts, exit codes."""
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -168,6 +172,38 @@ def test_plan_speed_scales_fly_time(cfg_path, tmp_path, capsys):
     assert float(fast["fly_time_s"]) == pytest.approx(
         float(slow["fly_time_s"]) / 10.0, rel=1e-12)
     assert fast["tour_length_m"] == slow["tour_length_m"]
+
+
+def test_plan_hover_warning_printed_once(tmp_path):
+    # one second of bc service per cell cannot dominate the flying; a child
+    # process shows stderr as a user sees it, without the test's log capture
+    cfg = dict(BASE, period_s=1.0, h_min_m=300.0, theta_min_rad=0.5,
+               theta_max_rad=1.2)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "uavcell.cli", "--config", str(path), "--out",
+         str(tmp_path), "plan", "--mode", "bc"],
+        capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    report = parse_report(proc.stdout)
+    assert float(report["hover_dominance"]) < 10.0
+    lines = [line for line in proc.stderr.splitlines() if "hover" in line]
+    assert len(lines) == 1, proc.stderr
+    ratio = f"{float(report['hover_dominance']):.3g}x"
+    assert ratio in lines[0] and "0.00x" not in lines[0]
+
+
+def test_non_finite_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(dict(BASE, h_max_m=math.inf)))  # writes Infinity
+    assert run(path, tmp_path, "optimize", "--mode", "mc") == 2
+    captured = capsys.readouterr()
+    assert "h_max_m" in captured.err
+    assert "inf" not in captured.out and "nan" not in captured.out
 
 
 def test_plan_refuses_absurd_cell_count(cfg_path, tmp_path, capsys):

@@ -82,6 +82,28 @@ def test_numbers_must_be_numbers(tmp_path):
         load_config(write_cfg(tmp_path, {"seed": 1.5}))
 
 
+@pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
+@pytest.mark.parametrize("key", ["h_max_m", "p_downlink_dbm", "theta_max_deg",
+                                 "area_width_m"])
+def test_non_finite_numbers_rejected(tmp_path, key, literal):
+    # json parses these literals into floats; none is a usable value
+    raw = {k: v for k, v in BASE.items() if not k.startswith("theta_max")}
+    text = json.dumps(raw)[:-1] + f', "{key}": {literal}'
+    if key != "theta_max_deg":
+        text += ', "theta_max_rad": 1.5'
+    path = tmp_path / "cfg.json"
+    path.write_text(text + "}")
+    with pytest.raises(ConfigError, match=f"{key}: expected a finite number"):
+        load_config(path)
+
+
+def test_integer_beyond_float_range_rejected(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**BASE, "h_max_m": 10 ** 400}))
+    with pytest.raises(ConfigError, match="h_max_m"):
+        load_config(path)
+
+
 def test_area_keys(tmp_path):
     cfg = load_config(write_cfg(tmp_path, {"area_width_m": 1000.0,
                                            "area_height_m": 800.0}))

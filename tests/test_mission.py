@@ -7,6 +7,7 @@ import pytest
 
 from uavcell import (DeploymentVars, assemble_plan, cell_edge_rate_mc,
                      layout_centers, plan_tour)
+from uavcell.mission import _two_opt
 
 SQRT3 = math.sqrt(3.0)
 
@@ -142,3 +143,82 @@ def test_assemble_plan_validation(params):
         assemble_plan(params, vars, "tdma", 60.0, 20.0, (500.0, 400.0))
     with pytest.raises(ValueError):
         assemble_plan(params, vars, "mac", -1.0, 20.0, (500.0, 400.0))
+
+
+# rectangle sides in circumradii: single columns, thin strips, odd and even
+# column counts
+SIDES_R = (0.3, 1.0, 1.4, 2.0, 3.7, 6.0, 11.2)
+
+
+def lattice_plans():
+    for w, h in itertools.product(SIDES_R, SIDES_R):
+        centers = layout_centers(w * 10.0, h * 10.0, 10.0)
+        yield w, h, centers, plan_tour(centers, (0.0, 0.0), 1.0, pitch=SQRT3 * 10.0)
+
+
+def test_rectangle_grid_has_both_column_parities():
+    counts = {len(np.unique(centers[:, 0])) for _, _, centers, _ in lattice_plans()}
+    assert 1 in counts
+    assert any(c % 2 for c in counts if c > 1) and any(c % 2 == 0 for c in counts)
+
+
+def test_lattice_plan_visits_every_center_once():
+    for w, h, centers, plan in lattice_plans():
+        got = sorted(map(tuple, plan.centers))
+        assert got == sorted(map(tuple, centers)), (w, h)
+        assert len(set(got)) == len(got), (w, h)
+
+
+def test_lattice_plan_starts_nearest_depot():
+    for w, h, centers, plan in lattice_plans():
+        nearest = centers[np.argmin(np.hypot(*centers.T))]
+        assert plan.centers[0].tolist() == nearest.tolist(), (w, h)
+
+
+def test_lattice_plan_never_longer_than_nearest_neighbor():
+    for w, h, centers, plan in lattice_plans():
+        unseeded = plan_tour(centers, (0.0, 0.0), 1.0)
+        assert plan.tour_length_m <= unseeded.tour_length_m * (1 + 1e-12), (w, h)
+        assert plan.tour_length_m >= len(centers) * SQRT3 * 10.0 * (1 - 1e-12) or len(centers) == 1
+
+
+def test_lattice_plan_reaches_bound():
+    # an even column count gives a serpentine of pitch steps only; an odd one
+    # leaves two longer steps that 2-opt removes
+    for w in (1000.0, 1100.0):
+        centers = layout_centers(w, 800.0, 100.0)
+        plan = plan_tour(centers, (0.0, 0.0), 1.0, pitch=SQRT3 * 100.0)
+        assert plan.tour_length_m == pytest.approx(len(centers) * SQRT3 * 100.0, rel=1e-12)
+
+
+def test_pruned_two_opt_matches_full_scan_on_random_points():
+    rng = np.random.default_rng(3)
+    for n in (3, 7, 30, 80):
+        pts = rng.uniform(0.0, 1000.0, size=(n, 2))
+        gaps = np.hypot(pts[:, None, 0] - pts[None, :, 0], pts[:, None, 1] - pts[None, :, 1])
+        pitch = float(gaps[np.triu_indices(n, 1)].min())
+        start = rng.permutation(n).tolist()
+        assert _two_opt(pts, start, pitch) == _two_opt(pts, start, 0.0)
+    # random subsets of a lattice: many edges exactly one pitch long
+    lattice = layout_centers(200.0, 180.0, 10.0)
+    for _ in range(4):
+        pts = lattice[rng.random(len(lattice)) < 0.6]
+        start = rng.permutation(len(pts)).tolist()
+        assert _two_opt(pts, start, SQRT3 * 10.0) == _two_opt(pts, start, 0.0)
+
+
+def test_pruned_two_opt_matches_full_scan_on_lattice_starts():
+    rng = np.random.default_rng(4)
+    for w, h in ((200.0, 180.0), (600.0, 40.0), (30.0, 500.0), (310.0, 250.0)):
+        centers = layout_centers(w, h, 10.0)
+        n = len(centers)
+        serpentine = list(range(n))
+        shuffled = rng.permutation(n).tolist()
+        for start in (serpentine, shuffled):
+            assert _two_opt(centers, start, SQRT3 * 10.0) == _two_opt(centers, start, 0.0)
+
+
+def test_assemble_plan_uses_lattice_tour(params):
+    vars = DeploymentVars.point(100.0, math.pi / 4)  # rbar = 100 m cells
+    plan = assemble_plan(params, vars, "mc", 1.0e8, 20.0, (1000.0, 800.0))
+    assert plan.tour_length_m == pytest.approx(len(plan.centers) * SQRT3 * 100.0, rel=1e-12)
