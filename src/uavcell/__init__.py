@@ -12,11 +12,9 @@ from .params import (G0_DEFAULT, DeploymentVars, DerivedConstants, SystemParams,
 from .channel import antenna_gain, channel_gain, snr_bc, snr_mac, snr_mc
 from .geometry import (DISK, HEXAGON, CellLayout, GtRealization, coverage_radius,
                        disk_contains, hex_contains, make_layout, sample_gts)
-from .rates import (BC, MAC, MC, MODES, McMission, RateResult, cell_edge_rate_mc,
-                    mission_time_mc, per_gt_rate, rate_bc, rate_mac, rate_mc,
-                    rate_value)
-from .optimize import (OptResult, optimize, optimize_2d_grid, optimize_bc,
-                       optimize_mac, optimize_mc, search_1d)
+from .rates import (BC, MAC, MC, MODES, McMission, cell_edge_rate_mc, mission_time_mc,
+                    per_gt_rate, rate_value)
+from .optimize import OptResult, optimize, optimize_2d_grid, search_1d
 from .montecarlo import (MissionSimResult, SimResult, SimSpec, simulate_mc_mission,
                          simulate_rate)
 from .mission import MissionPlan, assemble_plan, layout_centers, plan_tour
@@ -29,10 +27,9 @@ __all__ = [
     "antenna_gain", "channel_gain", "snr_mc", "snr_bc", "snr_mac",
     "HEXAGON", "DISK", "CellLayout", "GtRealization", "coverage_radius",
     "make_layout", "hex_contains", "disk_contains", "sample_gts",
-    "MC", "BC", "MAC", "MODES", "RateResult", "McMission", "rate_mc", "rate_bc",
-    "rate_mac", "rate_value", "per_gt_rate", "cell_edge_rate_mc", "mission_time_mc",
-    "OptResult", "search_1d", "optimize", "optimize_mc", "optimize_bc",
-    "optimize_mac", "optimize_2d_grid",
+    "MC", "BC", "MAC", "MODES", "McMission", "rate_value", "per_gt_rate",
+    "cell_edge_rate_mc", "mission_time_mc",
+    "OptResult", "search_1d", "optimize", "optimize_2d_grid",
     "SimSpec", "SimResult", "MissionSimResult", "simulate_rate", "simulate_mc_mission",
     "MissionPlan", "layout_centers", "plan_tour", "assemble_plan",
 ]

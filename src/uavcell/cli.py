@@ -11,16 +11,17 @@ above tolerance.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .config import Config, ConfigError, load_config
 from .geometry import SQRT3, coverage_radius
 from .mission import assemble_plan
 from .montecarlo import SimSpec, simulate_rate
-from .optimize import optimize, search_1d  # noqa: F401  (search_1d re-exported for scripts)
+from .optimize import optimize
 from .params import DeploymentVars
 from .rates import MC, MODES, rate_value
 
@@ -96,13 +97,14 @@ def _report(pairs):
 
 
 def _write_csv(path: Path, header, rows, seed=None):
+    # csv module dialect, \r\n line ends. Rows hold Python numbers (arrays
+    # go through .tolist()): the repr of a numpy scalar is np.float64(...)
+    lines = [",".join(header)]
+    lines += [",".join(map(repr, row)) for row in rows]
     with open(path, "w", newline="") as fh:
         if seed is not None:
             fh.write(f"# seed={seed}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def _parse_range(text: str):
@@ -119,11 +121,6 @@ def _parse_range(text: str):
     if not lo < hi:
         raise ConfigError(f"range: need LO < HI, got {text!r}")
     return lo, hi, n
-
-
-def _grid(lo: float, hi: float, n: int):
-    step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
 
 
 def cmd_optimize(cfg: Config, args, out_dir: Path) -> int:
@@ -155,7 +152,6 @@ def cmd_sweep(cfg: Config, args, out_dir: Path, seed: int) -> int:
         fixed = args.fixed_h if args.fixed_h is not None else (cfg.h_min_m + cfg.h_max_m) / 2
         if fixed <= 0.0:
             raise ConfigError(f"fixed-h: must be > 0, got {fixed}")
-        point = lambda v: (fixed, v)
     else:
         if lo <= 0.0:
             raise ConfigError(f"range: altitude sweep must be positive, got {lo}:{hi}")
@@ -163,19 +159,17 @@ def cmd_sweep(cfg: Config, args, out_dir: Path, seed: int) -> int:
                  else (cfg.theta_min_rad + cfg.theta_max_rad) / 2)
         if not 0.0 < fixed < math.pi / 2:
             raise ConfigError(f"fixed-theta: must lie inside (0, pi/2), got {fixed}")
-        point = lambda v: (v, fixed)
 
-    rows = []
-    for value in _grid(lo, hi, n):
-        h, theta = point(value)
-        analytic = rate_value(args.mode, params, h, theta)
-        if args.with_sim:
-            spec = SimSpec(mode=args.mode, realizations=args.realizations,
-                           seed=seed, count_model=args.count_model)
-            sim = simulate_rate(params, DeploymentVars.point(h, theta), spec)
-            rows.append((value, analytic, sim.empirical_mean_bps_hz))
-        else:
-            rows.append((value, analytic))
+    values = np.arange(n) * ((hi - lo) / (n - 1)) + lo
+    h, theta = (fixed, values) if args.var == "theta" else (values, fixed)
+    columns = [values.tolist(), rate_value(args.mode, params, h, theta).tolist()]
+    if args.with_sim:
+        spec = SimSpec(mode=args.mode, realizations=args.realizations,
+                       seed=seed, count_model=args.count_model)
+        points = zip(np.broadcast_to(h, n).tolist(), np.broadcast_to(theta, n).tolist())
+        columns.append([simulate_rate(params, DeploymentVars.point(*point), spec)
+                        .empirical_mean_bps_hz for point in points])
+    rows = zip(*columns)
 
     path = out_dir / f"sweep_{args.mode}_{args.var}.csv"
     if args.with_sim:
@@ -217,9 +211,10 @@ def cmd_simulate(cfg: Config, args, out_dir: Path, seed: int) -> int:
     ])
     if args.csv:
         path = out_dir / f"simulate_{result.mode}.csv"
-        rows = zip(range(args.realizations), result.gt_counts, result.per_realization)
-        _write_csv(path, ("realization_index", "gt_count", "value_bps_per_hz"),
-                   ((i, int(c), v) for i, c, v in rows), seed=seed)
+        rows = zip(range(args.realizations), result.gt_counts.tolist(),
+                   result.per_realization.tolist())
+        _write_csv(path, ("realization_index", "gt_count", "value_bps_per_hz"), rows,
+                   seed=seed)
         print(f"realizations_csv={path}")
     if result.relative_gap > args.gap_tol:
         print(f"validation gap {result.relative_gap:.3g} exceeds tolerance "

@@ -64,8 +64,8 @@ class Config:
         return None
 
 
-_REQUIRED = ("beta0", "bandwidth_hz", "p_downlink_dbm", "p_uplink_dbm",
-             "noise_psd_dbm_hz", "density_per_m2", "h_min_m", "h_max_m")
+_DBM = ("p_downlink_dbm", "p_uplink_dbm", "noise_psd_dbm_hz")
+_REQUIRED = ("beta0", "bandwidth_hz", *_DBM, "density_per_m2", "h_min_m", "h_max_m")
 _OPTIONAL_POSITIVE = ("area_m2", "area_width_m", "area_height_m",
                       "file_size_bits", "period_s", "uav_speed_mps")
 _KNOWN = set(_REQUIRED) | set(_OPTIONAL_POSITIVE) | {
@@ -138,6 +138,15 @@ def _validate(cfg: Config):
         value = getattr(cfg, key)
         if value is not None and not value > 0.0:
             raise ConfigError(f"{key}: must be > 0, got {value}")
+    for key in _DBM:
+        dbm = getattr(cfg, key)
+        try:
+            watts = dbm_to_watts(dbm)
+        except OverflowError:
+            watts = math.inf
+        if not 0.0 < watts < math.inf:
+            raise ConfigError(f"{key}: {dbm} dBm is {watts} W, not a positive "
+                              "finite power")
     if cfg.h_min_m > cfg.h_max_m:
         raise ConfigError(f"h_min_m: must satisfy h_min_m <= h_max_m, got "
                           f"{cfg.h_min_m} > {cfg.h_max_m}")

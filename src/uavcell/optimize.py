@@ -37,6 +37,10 @@ def search_1d(f, lo: float, hi: float, tol: float = 1e-4):
     search refines inside the bracket to width tol. The returned point is the
     best of every evaluation made, so it is never worse than the best coarse
     grid point; exact ties resolve toward smaller x.
+
+    f must accept a numpy array as well as a float: the coarse scan is one
+    call f(xs) on the array of grid points, which must return a numpy array
+    of one value per point. The refinement calls f on single floats.
     """
     if not lo <= hi:
         raise ValueError(f"need lo <= hi, got [{lo}, {hi}]")
@@ -46,8 +50,8 @@ def search_1d(f, lo: float, hi: float, tol: float = 1e-4):
         fx = f(lo)
         return lo, fx, [(lo, fx)]
     xs = np.linspace(lo, hi, COARSE_POINTS)
-    fs = [f(x) for x in xs]
-    trace = list(zip((float(x) for x in xs), fs))
+    fs = f(xs)
+    trace = list(zip(xs.tolist(), fs.tolist()))
     best = int(np.argmax(fs))  # first max: ties toward smaller x
     a = float(xs[max(best - 1, 0)])
     b = float(xs[min(best + 1, COARSE_POINTS - 1)])
@@ -71,8 +75,23 @@ def search_1d(f, lo: float, hi: float, tol: float = 1e-4):
     return x_star, f_star, trace
 
 
-def _optimize_theta(params: SystemParams, box: DeploymentVars, mode: str,
-                    h_star: float, tol: float) -> OptResult:
+# Closed altitude rule per mode. mc: the rate is non-decreasing in altitude,
+# so H* = h_max. bc: strictly decreasing, so H* = h_min. mac: the rate does
+# not depend on altitude; h_min is reported and the result is flagged
+# h_indifferent.
+_ALTITUDE_RULES = {
+    MC: lambda box: box.h_max_m,
+    BC: lambda box: box.h_min_m,
+    MAC: lambda box: box.h_min_m,
+}
+
+
+def optimize(mode: str, params: SystemParams, box: DeploymentVars,
+             tol: float = 1e-4) -> OptResult:
+    """Altitude from the mode's closed rule, then a 1-D beamwidth search."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    h_star = _ALTITUDE_RULES[mode](box)
     theta_star, f_star, trace1d = search_1d(
         lambda t: rate_value(mode, params, h_star, t),
         box.theta_min_rad, box.theta_max_rad, tol=tol)
@@ -80,35 +99,6 @@ def _optimize_theta(params: SystemParams, box: DeploymentVars, mode: str,
     return OptResult(mode=mode, h_star_m=h_star, theta_star_rad=theta_star,
                      objective_bps_hz=f_star, trace=trace,
                      h_indifferent=(mode == MAC))
-
-
-def optimize_mc(params: SystemParams, box: DeploymentVars,
-                tol: float = 1e-4) -> OptResult:
-    """Multicast: rate is non-decreasing in altitude, so H* = h_max."""
-    return _optimize_theta(params, box, MC, box.h_max_m, tol)
-
-
-def optimize_bc(params: SystemParams, box: DeploymentVars,
-                tol: float = 1e-4) -> OptResult:
-    """Broadcast: rate is strictly decreasing in altitude, so H* = h_min."""
-    return _optimize_theta(params, box, BC, box.h_min_m, tol)
-
-
-def optimize_mac(params: SystemParams, box: DeploymentVars,
-                 tol: float = 1e-4) -> OptResult:
-    """Uplink: rate does not depend on altitude; h_min is reported and the
-    result is flagged h_indifferent."""
-    return _optimize_theta(params, box, MAC, box.h_min_m, tol)
-
-
-OPTIMIZERS = {MC: optimize_mc, BC: optimize_bc, MAC: optimize_mac}
-
-
-def optimize(mode: str, params: SystemParams, box: DeploymentVars,
-             tol: float = 1e-4) -> OptResult:
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    return OPTIMIZERS[mode](params, box, tol=tol)
 
 
 def optimize_2d_grid(params: SystemParams, box: DeploymentVars, mode: str,
@@ -124,14 +114,12 @@ def optimize_2d_grid(params: SystemParams, box: DeploymentVars, mode: str,
         raise ValueError(f"grid needs n >= 2 points per axis, got {n}")
     hs = np.linspace(box.h_min_m, box.h_max_m, n)
     ts = np.linspace(box.theta_min_rad, box.theta_max_rad, n)
-    trace = []
-    best = None
-    for h in hs:
-        for t in ts:
-            v = rate_value(mode, params, float(h), float(t))
-            trace.append((float(h), float(t), v))
-            if best is None or v > best[2]:
-                best = (float(h), float(t), v)
-    return OptResult(mode=mode, h_star_m=best[0], theta_star_rad=best[1],
-                     objective_bps_hz=best[2], trace=trace, method="grid",
+    values = rate_value(mode, params, hs[:, None], ts[None, :])
+    # first maximum in h-major order: ties toward smaller H, then smaller theta
+    i, j = divmod(int(np.argmax(values)), n)
+    ts_list = ts.tolist()
+    trace = [(h, t, v) for h, row in zip(hs.tolist(), values.tolist())
+             for t, v in zip(ts_list, row)]
+    return OptResult(mode=mode, h_star_m=float(hs[i]), theta_star_rad=ts_list[j],
+                     objective_bps_hz=float(values[i, j]), trace=trace, method="grid",
                      h_indifferent=(mode == MAC))

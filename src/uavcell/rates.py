@@ -30,86 +30,82 @@ def _log2_1p(x):
     return np.log1p(x) / LN2
 
 
-def _log2_1p_f(x: float) -> float:
-    return math.log1p(x) / LN2
+def _check_domain(h, theta):
+    # min/max propagate NaN, which then fails the comparison like any bad value
+    if h.size and not h.min() > 0.0:
+        raise ValueError(f"altitude must be > 0, got {h[~(h > 0.0)].flat[0]}")
+    if theta.size and not (theta.min() > 0.0 and theta.max() < math.pi / 2):
+        bad = ~((theta > 0.0) & (theta < math.pi / 2))
+        raise ValueError(f"half-beamwidth must lie in (0, pi/2), got {theta[bad].flat[0]}")
 
 
-@dataclass(frozen=True)
-class RateResult:
-    value_bps_hz: float
-    mode: str
-    altitude_m: float
-    half_beamwidth_rad: float
-
-
-def _check_point(altitude_m: float, half_beamwidth_rad: float):
-    if altitude_m <= 0.0:
-        raise ValueError(f"altitude must be > 0, got {altitude_m}")
-    if not 0.0 < half_beamwidth_rad < math.pi / 2:
-        raise ValueError(f"half-beamwidth must lie in (0, pi/2), got {half_beamwidth_rad}")
-
-
-def _mc_value(params: SystemParams, h: float, theta: float) -> float:
+def _edge_rate(params: SystemParams, h, theta):
     alpha = derived_constants(params).alpha
+    return _log2_1p(alpha * np.cos(theta)**2 / (theta**2 * h**2))
+
+
+def _mc_value(params: SystemParams, h, theta):
     rho = params.density_per_m2
-    edge_snr = alpha * math.cos(theta)**2 / (theta**2 * h**2)
-    return 1.5 * SQRT3 * rho * h**2 * math.tan(theta)**2 * _log2_1p_f(edge_snr)
+    return 1.5 * SQRT3 * rho * h**2 * np.tan(theta)**2 * _edge_rate(params, h, theta)
 
 
-def _bc_value(params: SystemParams, h: float, theta: float) -> float:
+def _bc_value(params: SystemParams, h, theta):
     alpha = derived_constants(params).alpha
-    t2 = math.tan(theta)**2
-    th2 = theta**2
-    c2 = math.cos(theta)**2
-    s2 = math.sin(theta)**2
-    term1 = _log2_1p_f(alpha * c2 / (th2 * h**2)) / s2
-    term2 = _log2_1p_f(alpha / (th2 * h**2)) / t2
-    term3 = (alpha / (th2 * h**2 * t2)) * math.log2(
-        (th2 * h**2 + alpha * c2) / (th2 * h**2 * c2 + alpha * c2))
+    t2 = np.tan(theta)**2
+    c2 = np.cos(theta)**2
+    s2 = np.sin(theta)**2
+    th2h2 = theta**2 * h**2
+    term1 = _log2_1p(alpha * c2 / th2h2) / s2
+    term2 = _log2_1p(alpha / th2h2) / t2
+    term3 = (alpha / (th2h2 * t2)) * np.log2(
+        (th2h2 + alpha * c2) / (th2h2 * c2 + alpha * c2))
     return term1 - term2 + term3
 
 
-def _mac_value(params: SystemParams, h: float, theta: float) -> float:
-    # h is accepted for interface symmetry; the integral does not depend on it
+def _mac_value(params: SystemParams, h, theta):
     eta = derived_constants(params).eta
-    t2 = math.tan(theta)**2
+    t2 = np.tan(theta)**2
     th2 = theta**2
-    c2 = math.cos(theta)**2
-    term1 = _log2_1p_f(eta * math.sin(theta)**2 / th2) / c2
-    term2 = _log2_1p_f(eta * t2 / th2)
-    term3 = (eta * t2 / th2) * _log2_1p_f(th2 * t2 / (th2 + eta * t2))
-    return (term1 - term2 + term3) / t2
+    c2 = np.cos(theta)**2
+    term1 = _log2_1p(eta * np.sin(theta)**2 / th2) / c2
+    term2 = _log2_1p(eta * t2 / th2)
+    term3 = (eta * t2 / th2) * _log2_1p(th2 * t2 / (th2 + eta * t2))
+    value = (term1 - term2 + term3) / t2
+    # the integral does not depend on h, which only sets the broadcast shape
+    if h.ndim:
+        value = np.broadcast_to(value, np.broadcast_shapes(h.shape, theta.shape)).copy()
+    return value
 
 
 _VALUE_FNS = {MC: _mc_value, BC: _bc_value, MAC: _mac_value}
 
 
-def rate_value(mode: str, params: SystemParams,
-               altitude_m: float, half_beamwidth_rad: float) -> float:
-    """Per-cell spectral efficiency in bps/Hz at an arbitrary operating point."""
+def rate_value(mode: str, params: SystemParams, altitude_m, half_beamwidth_rad):
+    """Per-cell spectral efficiency in bps/Hz at arbitrary operating points.
+
+    Altitude and half-beamwidth are scalars or numpy arrays, broadcast
+    against each other. Two scalars give a Python float, anything else an
+    array of the broadcast shape. Every element must lie in the model
+    domain (H > 0, 0 < theta < pi/2) and give a finite rate; one that does
+    not raises ValueError.
+    """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    _check_point(altitude_m, half_beamwidth_rad)
-    return _VALUE_FNS[mode](params, altitude_m, half_beamwidth_rad)
-
-
-def rate_mc(params: SystemParams, vars: DeploymentVars) -> RateResult:
-    """Multicast sum rate: every terminal decodes the common stream, so the
-    cell runs at the edge terminal's rate times the expected count K_s."""
-    value = _mc_value(params, vars.altitude_m, vars.half_beamwidth_rad)
-    return RateResult(value, MC, vars.altitude_m, vars.half_beamwidth_rad)
-
-
-def rate_bc(params: SystemParams, vars: DeploymentVars) -> RateResult:
-    """Broadcast sum rate over the coverage disk under equal FDMA splits."""
-    value = _bc_value(params, vars.altitude_m, vars.half_beamwidth_rad)
-    return RateResult(value, BC, vars.altitude_m, vars.half_beamwidth_rad)
-
-
-def rate_mac(params: SystemParams, vars: DeploymentVars) -> RateResult:
-    """Uplink sum rate over the coverage disk; altitude cancels exactly."""
-    value = _mac_value(params, vars.altitude_m, vars.half_beamwidth_rad)
-    return RateResult(value, MAC, vars.altitude_m, vars.half_beamwidth_rad)
+    h = np.asarray(altitude_m, dtype=float)
+    theta = np.asarray(half_beamwidth_rad, dtype=float)
+    _check_domain(h, theta)
+    with np.errstate(all="ignore"):
+        value = _VALUE_FNS[mode](params, h, theta)
+    if np.ndim(value) == 0:
+        value = float(value)
+        if math.isfinite(value):
+            return value
+    elif np.isfinite(value).all():
+        return value
+    bad = np.argmin(np.isfinite(value))
+    h, theta = np.broadcast_arrays(h, theta)
+    raise ValueError(f"{mode} rate is not finite at altitude {h.flat[bad]}, "
+                     f"half-beamwidth {theta.flat[bad]}")
 
 
 def cell_edge_rate_mc(params: SystemParams, vars: DeploymentVars) -> float:
@@ -118,9 +114,7 @@ def cell_edge_rate_mc(params: SystemParams, vars: DeploymentVars) -> float:
     This rate dimensions multicast delivery: every terminal in the cell
     decodes at least this fast.
     """
-    h, theta = vars.altitude_m, vars.half_beamwidth_rad
-    alpha = derived_constants(params).alpha
-    return math.log1p(alpha * math.cos(theta)**2 / (theta**2 * h**2)) / LN2
+    return float(_edge_rate(params, vars.altitude_m, vars.half_beamwidth_rad))
 
 
 def per_gt_rate(mode: str, r, params: SystemParams, vars: DeploymentVars):
@@ -161,7 +155,7 @@ def mission_time_mc(params: SystemParams, vars: DeploymentVars,
                     mission: McMission, area_m2: float) -> float:
     """Total hover time to multicast the file to every terminal in the area.
 
-    time = (K * file_bits / W) / rate_mc, with K terminals spread over
+    time = (K * file_bits / W) / mc rate, with K terminals spread over
     n_cells = area/hex_area cells; equivalently n_cells * file_bits divided
     by the cell-edge link rate.
     """
@@ -169,5 +163,5 @@ def mission_time_mc(params: SystemParams, vars: DeploymentVars,
         raise ValueError(f"area must be > 0, got {area_m2}")
     total = (mission.total_gts if mission.total_gts is not None
              else params.density_per_m2 * area_m2)
-    value = _mc_value(params, vars.altitude_m, vars.half_beamwidth_rad)
+    value = rate_value(MC, params, vars.altitude_m, vars.half_beamwidth_rad)
     return total * mission.file_size_bits / (params.bandwidth_hz * value)

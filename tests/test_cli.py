@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -206,6 +207,15 @@ def test_non_finite_config_exits_2(tmp_path, capsys):
     assert "inf" not in captured.out and "nan" not in captured.out
 
 
+@pytest.mark.parametrize("key", ["p_downlink_dbm", "p_uplink_dbm", "noise_psd_dbm_hz"])
+def test_dbm_overflow_exits_2(tmp_path, capsys, key):
+    path = tmp_path / "loud.json"
+    path.write_text(json.dumps(dict(BASE, **{key: 1e6})))
+    assert run(path, tmp_path, "optimize", "--mode", "mc") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: ")
+
+
 def test_plan_refuses_absurd_cell_count(cfg_path, tmp_path, capsys):
     # the bc optimum shrinks cells to a few meters; planning 10^5 of them
     # is a config problem, not a tour to grind through
@@ -227,3 +237,56 @@ def test_bad_config_field_named(tmp_path, capsys):
     path.write_text(json.dumps(dict(BASE, theta_max_rad=math.pi / 2)))
     assert run(path, tmp_path, "optimize", "--mode", "mc") == 2
     assert "theta_max_rad" in capsys.readouterr().err
+
+
+def test_csv_artifacts_format(cfg_path, tmp_path, capsys):
+    # rows end in \r\n like the csv module's, headers are the README's, and
+    # every cell is the repr of a Python number, never of a numpy scalar
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = [
+        ("optimize_bc_trace.csv", ("optimize", "--mode", "bc", "--csv")),
+        ("sweep_mc_h.csv", ("sweep", "--mode", "mc", "--var", "h", "--range", "100:500:5")),
+        ("sweep_bc_theta.csv", ("sweep", "--mode", "bc", "--var", "theta", "--range",
+                                "0.3:0.6:3", "--with-sim", "--realizations", "5")),
+        ("simulate_mac.csv", ("simulate", "--mode", "mac", "--realizations", "5", "--csv")),
+        ("plan_mc.csv", ("plan", "--mode", "mc")),
+    ]
+    for name, argv in commands:
+        out = tmp_path / name.removesuffix(".csv")
+        assert run(cfg_path, out, *argv) == 0
+        text = (out / name).read_bytes().decode()
+        assert "np.float64(" not in text
+        if text.startswith("# seed="):
+            text = text.split("\n", 1)[1]
+        assert text.endswith("\r\n") and text.count("\n") == text.count("\r\n"), name
+        header, *rows = text[:-2].split("\r\n")
+        assert f"`{header}`" in readme, name
+        assert rows, name
+        for row in rows:
+            cells = row.split(",")
+            assert len(cells) == header.count(",") + 1
+            for cell in cells:
+                number = int(cell) if cell.isdigit() else float(cell)
+                assert repr(number) == cell, (name, row)
+    assert capsys.readouterr().err == ""
+
+
+def test_loud_narrow_sweeps_print_no_warnings(tmp_path, capsys):
+    # numpy floating-point warnings would land on stderr; here they raise
+    loud = tmp_path / "loud.json"
+    loud.write_text(json.dumps(dict(BASE, p_downlink_dbm=400.0, theta_min_rad=0.001)))
+    overflowing = tmp_path / "overflowing.json"  # the downlink SNR scale is inf
+    overflowing.write_text(json.dumps(dict(BASE, p_downlink_dbm=3100.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mode in ("mc", "bc", "mac"):
+            assert run(loud, tmp_path, "sweep", "--mode", mode, "--var", "theta",
+                       "--range", "0.001:1.5:200") == 0
+            assert run(loud, tmp_path, "optimize", "--mode", mode) == 0
+        assert capsys.readouterr().err == ""
+        for mode in ("mc", "bc"):
+            assert run(overflowing, tmp_path, "sweep", "--mode", mode, "--var", "theta",
+                       "--range", "0.001:1.5:200") == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: {mode} rate is not finite")
+            assert len(err.splitlines()) == 1

@@ -104,6 +104,14 @@ def test_integer_beyond_float_range_rejected(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("dbm", [1e6, -1e6])
+@pytest.mark.parametrize("key", ["p_downlink_dbm", "p_uplink_dbm", "noise_psd_dbm_hz"])
+def test_dbm_beyond_float_power_rejected(tmp_path, key, dbm):
+    # 1e6 dBm overflows the conversion to watts, -1e6 dBm underflows to 0 W
+    with pytest.raises(ConfigError, match=f"{key}: "):
+        load_config(write_cfg(tmp_path, {key: dbm}))
+
+
 def test_area_keys(tmp_path):
     cfg = load_config(write_cfg(tmp_path, {"area_width_m": 1000.0,
                                            "area_height_m": 800.0}))

@@ -1,6 +1,7 @@
 """Golden-section search and the per-mode deployment optimizers."""
-import math
+import importlib
 
+import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
@@ -16,9 +17,9 @@ def test_search_1d_quadratic_peak():
 
 
 def test_search_1d_boundary_maximum():
-    x, fx, _ = search_1d(math.sin, 0.0, 1.0)  # increasing on [0, 1]
+    x, fx, _ = search_1d(np.sin, 0.0, 1.0)  # increasing on [0, 1]
     assert x == pytest.approx(1.0, abs=1e-3)
-    x, _, _ = search_1d(math.cos, 0.0, 1.0)  # decreasing on [0, 1]
+    x, _, _ = search_1d(np.cos, 0.0, 1.0)  # decreasing on [0, 1]
     assert x == pytest.approx(0.0, abs=1e-3)
 
 
@@ -30,7 +31,7 @@ def test_search_1d_degenerate_interval():
 
 def test_search_1d_survives_multimodal_wiggle():
     # coarse scan plus local refinement should land on the global peak
-    f = lambda x: math.sin(5 * x) + 0.5 * x
+    f = lambda x: np.sin(5 * x) + 0.5 * x
     x, fx, _ = search_1d(f, 0.0, 3.0, tol=1e-6)
     brent = minimize_scalar(lambda x: -f(x), bounds=(2.0, 3.0), method="bounded",
                             options={"xatol": 1e-10})
@@ -80,6 +81,23 @@ def test_grid_search_agrees_with_rules(params, box):
         assert abs(grid.theta_star_rad - rule.theta_star_rad) <= t_step + 1e-9
         assert grid.method == "grid"
         assert grid.objective_bps_hz <= rule.objective_bps_hz * (1 + 1e-12)
+
+
+def test_grid_search_ties_toward_smaller_h_then_theta(params, box, monkeypatch):
+    n = 8
+    hs = np.linspace(box.h_min_m, box.h_max_m, n)
+    ts = np.linspace(box.theta_min_rad, box.theta_max_rad, n)
+    # mac does not depend on altitude, so every row of the grid ties
+    assert optimize_2d_grid(params, box, "mac", n=n).h_star_m == box.h_min_m
+
+    # a plateau of equal maxima at every h >= hs[2] and theta >= ts[3]
+    def plateau(mode, params, h, theta):
+        return ((h >= hs[2]) & (theta >= ts[3])).astype(float)
+
+    monkeypatch.setattr(importlib.import_module("uavcell.optimize"), "rate_value", plateau)
+    res = optimize_2d_grid(params, box, "bc", n=n)
+    assert (res.h_star_m, res.theta_star_rad, res.objective_bps_hz) == (hs[2], ts[3], 1.0)
+    assert [(h, t) for h, t, _ in res.trace] == [(h, t) for h in hs for t in ts]
 
 
 def test_unknown_mode_rejected(params, box):

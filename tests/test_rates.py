@@ -11,33 +11,65 @@ import pytest
 from scipy.integrate import quad
 
 from uavcell import (DeploymentVars, McMission, coverage_radius,
-                     derived_constants, mission_time_mc, per_gt_rate, rate_bc,
-                     rate_mac, rate_mc, rate_value)
+                     derived_constants, mission_time_mc, per_gt_rate, rate_value)
 from conftest import make_params
 
 LN2 = math.log(2.0)
 
 
 def test_rate_frozen_values(params):
-    p10 = DeploymentVars.point(100.0, math.pi / 10)
-    assert rate_mc(params, p10).value_bps_hz == pytest.approx(
+    p10 = (100.0, math.pi / 10)
+    assert rate_value("mc", params, *p10) == pytest.approx(
         199.2356605492261, rel=1e-12)
-    assert rate_bc(params, p10).value_bps_hz == pytest.approx(
+    assert rate_value("bc", params, *p10) == pytest.approx(
         14.598757632445233, rel=1e-12)
-    assert rate_mac(params, p10).value_bps_hz == pytest.approx(
+    assert rate_value("mac", params, *p10) == pytest.approx(
         12.006856543308997, rel=1e-12)
-    assert rate_bc(params, DeploymentVars.point(500.0, 1.0)).value_bps_hz == pytest.approx(
+    assert rate_value("bc", params, 500.0, 1.0) == pytest.approx(
         5.652222836138863, rel=1e-12)
-    assert rate_mac(params, DeploymentVars.point(500.0, 1.0)).value_bps_hz == pytest.approx(
+    assert rate_value("mac", params, 500.0, 1.0) == pytest.approx(
         12.195583045832898, rel=1e-12)
 
 
-def test_rate_value_matches_result_objects(params):
-    for mode, fn in (("mc", rate_mc), ("bc", rate_bc), ("mac", rate_mac)):
-        v = rate_value(mode, params, 250.0, 0.7)
-        assert v == fn(params, DeploymentVars.point(250.0, 0.7)).value_bps_hz
+def test_rate_value_rejects_unknown_mode(params):
     with pytest.raises(ValueError):
         rate_value("broadcast", params, 250.0, 0.7)
+
+
+@pytest.mark.parametrize("mode", ["mc", "bc", "mac"])
+def test_array_call_matches_scalar_calls_bit_for_bit(params, mode):
+    hs = np.linspace(20.0, 2000.0, 9)
+    ts = np.linspace(0.02, 1.55, 13)
+
+    def scalar(h, t):
+        value = rate_value(mode, params, h, t)
+        assert type(value) is float
+        return value
+
+    along_theta = rate_value(mode, params, 130.0, ts)
+    assert along_theta.shape == ts.shape
+    assert along_theta.tolist() == [scalar(130.0, t) for t in ts.tolist()]
+    along_h = rate_value(mode, params, hs, 0.6)
+    assert along_h.shape == hs.shape  # mac too: altitude sets the shape
+    assert along_h.tolist() == [scalar(h, 0.6) for h in hs.tolist()]
+    mesh = rate_value(mode, params, hs[:, None], ts[None, :])
+    assert mesh.shape == (len(hs), len(ts))
+    assert mesh.tolist() == [[scalar(h, t) for t in ts.tolist()] for h in hs.tolist()]
+
+
+@pytest.mark.parametrize("h, theta", [
+    ([100.0, 0.0, 200.0], 0.5),
+    ([100.0, -1.0], [0.5, 0.6]),
+    ([100.0, math.nan], 0.5),
+    (100.0, [0.5, 0.0, 0.7]),
+    ([[100.0], [200.0]], [0.5, math.pi / 2]),
+    (100.0, [math.nan, 0.5]),
+    (100.0, [0.5, 1e-200]),  # in the domain, but the rate is not finite
+])
+def test_one_bad_element_raises(params, h, theta):
+    for mode in ("mc", "bc", "mac"):
+        with pytest.raises(ValueError):
+            rate_value(mode, params, np.asarray(h), np.asarray(theta))
 
 
 def _disk_average_rate(params, h, theta, snr_of_r):
