@@ -11,6 +11,7 @@ above tolerance.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -36,7 +37,10 @@ EXIT_GAP = 3
 MAX_PLAN_CELLS = 4096
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and building it costs more than a whole optimize command."""
     parser = argparse.ArgumentParser(
         prog="uavcell",
         description="Altitude/beamwidth tradeoff tools for a UAV-mounted aerial cell")

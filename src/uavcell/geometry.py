@@ -87,21 +87,60 @@ def disk_contains(xy, radius: float):
 
 @dataclass(frozen=True)
 class GtRealization:
-    """One random draw of terminal positions, relative to the cell center."""
+    """Terminals of one or more realizations, relative to the cell center.
+
+    The realizations lie back to back: the first counts[0] rows of positions
+    belong to realization 0, the next counts[1] to realization 1, and so on.
+    """
 
     positions: np.ndarray  # shape (n, 2), meters
+    counts: np.ndarray     # terminals per realization
+    r2: np.ndarray         # squared ground distance of each terminal, m^2
     region: str
-    seed: object
+
+
+def _uniform_in_region(rng: np.random.Generator, region: str, rbar: float, count: int):
+    """count points uniform in the region, as (x, y, x^2 + y^2) arrays.
+
+    Rejection from the bounding box, which accepts pi/4 of the disk's
+    proposals and 3/4 of the hexagon's; a round proposes enough that a
+    second one is rare.
+    """
+    if region == DISK:
+        half_height, accept = rbar, math.pi / 4
+    else:
+        half_height, accept = SQRT3 / 2 * rbar, 0.75
+    parts = []
+    needed = count
+    while needed > 0:
+        n_prop = int(needed / accept + 4.0 * math.sqrt(needed)) + 16
+        x = rng.uniform(-rbar, rbar, size=n_prop)
+        y = rng.uniform(-half_height, half_height, size=n_prop)
+        r2 = x * x + y * y
+        # disk_contains's and hex_contains's tests; |y| <= half_height holds
+        # by the draw
+        inside = (r2 <= rbar**2 if region == DISK
+                  else SQRT3 * np.abs(x) + np.abs(y) <= SQRT3 * rbar)
+        keep = np.flatnonzero(inside)[:needed]
+        parts.append((x[keep], y[keep], r2[keep]))
+        needed -= len(keep)
+    if not parts:
+        return np.empty(0), np.empty(0), np.empty(0)
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def sample_gts(layout: CellLayout, region: str, seed, density: float,
-               count_model: str = "poisson") -> GtRealization:
-    """Sample one realization of terminal positions in a cell.
+               count_model: str = "poisson", realizations: int = 1) -> GtRealization:
+    """Sample realizations of terminal positions in a cell.
 
-    The count is Poisson with mean density*area by default, or the rounded
-    mean with count_model="fixed". Positions are i.i.d. uniform: direct
-    inverse-CDF sampling on the disk, rejection from the bounding box on the
-    hexagon. Deterministic for a given seed.
+    Each realization's count is Poisson with mean density*area by default,
+    or the rounded mean with count_model="fixed". Positions are i.i.d.
+    uniform in the region. seed is anything np.random.default_rng accepts;
+    a Generator is drawn from in place. The counts are drawn first, then
+    every realization's points in one pass, so the result is deterministic
+    for a given seed and realization count.
     """
     if region not in REGIONS:
         raise ValueError(f"region must be one of {REGIONS}, got {region!r}")
@@ -109,28 +148,15 @@ def sample_gts(layout: CellLayout, region: str, seed, density: float,
         raise ValueError(f"count_model must be 'poisson' or 'fixed', got {count_model!r}")
     if density <= 0.0:
         raise ValueError(f"density must be > 0, got {density}")
+    if realizations < 1:
+        raise ValueError(f"need at least 1 realization, got {realizations}")
     rng = np.random.default_rng(seed)
     area = layout.hex_area_m2 if region == HEXAGON else layout.disk_area_m2
     mean = density * area
-    count = int(rng.poisson(mean)) if count_model == "poisson" else int(round(mean))
-    rbar = layout.circumradius_m
-    if region == DISK:
-        radii = rbar * np.sqrt(rng.uniform(size=count))
-        angles = rng.uniform(0.0, 2.0 * math.pi, size=count)
-        positions = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+    if count_model == "poisson":
+        counts = rng.poisson(mean, size=realizations)
     else:
-        # acceptance ratio from the 2rbar x sqrt(3)rbar box is 3/4
-        chunks = []
-        needed = count
-        while needed > 0:
-            n_prop = max(16, int(needed / 0.7) + 8)
-            props = np.column_stack([
-                rng.uniform(-rbar, rbar, size=n_prop),
-                rng.uniform(-SQRT3 / 2 * rbar, SQRT3 / 2 * rbar, size=n_prop),
-            ])
-            accepted = props[hex_contains(props, rbar)]
-            chunks.append(accepted[:needed])
-            needed -= len(accepted[:needed])
-        positions = (np.concatenate(chunks) if chunks
-                     else np.empty((0, 2), dtype=float))
-    return GtRealization(positions=positions, region=region, seed=seed)
+        counts = np.full(realizations, int(round(mean)))
+    x, y, r2 = _uniform_in_region(rng, region, layout.circumradius_m, int(counts.sum()))
+    return GtRealization(positions=np.column_stack([x, y]), counts=counts, r2=r2,
+                         region=region)

@@ -2,9 +2,13 @@
 
 Each realization draws terminal positions (and optionally a Poisson count)
 in one cell and evaluates the realized sum rate; the empirical mean over
-realizations is compared against the analytic expression. Realization i uses
-its own rng seeded by (base_seed, i), so results do not depend on execution
-order and are bit-reproducible for a fixed seed.
+realizations is compared against the analytic expression.
+
+A call draws from one random stream per seed, in a fixed order: the
+realizations are drawn in blocks of about BLOCK_TERMINALS expected
+terminals, each block's counts first and then its positions. Results are
+bit-reproducible for a fixed seed, but realization i depends on the
+realization count and on BLOCK_TERMINALS, not on (seed, i) alone.
 """
 from __future__ import annotations
 
@@ -13,12 +17,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DISK, HEXAGON, SQRT3, coverage_radius, make_layout, sample_gts
+from .geometry import (DISK, HEXAGON, SQRT3, GtRealization, coverage_radius, make_layout,
+                       sample_gts)
 from .params import DeploymentVars, SystemParams, derived_constants
 from .rates import (BC, MAC, MC, MODES, LN2, McMission, cell_edge_rate_mc,
                     mission_time_mc, rate_value)
 
 _REGION_FOR_MODE = {MC: HEXAGON, BC: DISK, MAC: DISK}
+
+# expected terminals drawn at once: whole realizations share a block up to
+# this size, and a larger realization is drawn alone. Larger blocks cut the
+# per-call cost but raise peak memory.
+BLOCK_TERMINALS = 8192
 
 
 @dataclass(frozen=True)
@@ -58,38 +68,57 @@ class SimResult:
     seed: int
 
 
-def _realized_sum_rate(mode: str, positions: np.ndarray, params: SystemParams,
-                       vars: DeploymentVars) -> float:
-    """Sum rate of one realization, with the expected count K_s' replaced by
-    the realized count where the formulas use it."""
-    n = len(positions)
-    h = vars.altitude_m
-    theta = vars.half_beamwidth_rad
+def _block_values(mode: str, block: GtRealization, params: SystemParams,
+                  vars: DeploymentVars) -> np.ndarray:
+    """Realized sum rate of each realization in a block, with the expected
+    count K_s' replaced by the realized count where the formulas use it.
+
+    mc serves every terminal at the rate of its farthest sampled one; bc and
+    mac average the per-terminal rates. An empty realization scores 0.
+    """
+    counts = block.counts
+    values = np.zeros(len(counts))
+    filled = counts > 0
+    if not filled.any():
+        return values
+    # reduceat needs strictly in-range starts, so empty realizations are
+    # left out; each remaining start is the first of its terminals
+    n = counts[filled]
+    starts = (np.cumsum(counts) - counts)[filled]
+    h2 = vars.altitude_m**2
+    theta2 = vars.half_beamwidth_rad**2
     consts = derived_constants(params)
     if mode == MC:
-        # one common stream at the analytic cell-edge rate, n receivers
-        return n * cell_edge_rate_mc(params, vars)
-    if n == 0:
-        return 0.0
-    d2 = h**2 + positions[:, 0]**2 + positions[:, 1]**2
+        d2 = h2 + np.maximum.reduceat(block.r2, starts)
+        values[filled] = n * np.log1p(consts.alpha / (theta2 * d2)) / LN2
+        return values
+    d2 = h2 + block.r2
     if mode == BC:
-        snr = consts.alpha / (theta**2 * d2)
+        snr = consts.alpha / (theta2 * d2)
     else:  # MAC: each of the n terminals gets a 1/n bandwidth share
-        snr = n * consts.eta / (params.density_per_m2 * math.pi * theta**2 * d2)
-    return float(np.mean(np.log1p(snr))) / LN2
+        share = np.repeat(n, n) * (consts.eta / (params.density_per_m2 * math.pi * theta2))
+        snr = share / d2
+    values[filled] = np.add.reduceat(np.log1p(snr), starts) / n / LN2
+    return values
 
 
 def simulate_rate(params: SystemParams, vars: DeploymentVars,
                   spec: SimSpec) -> SimResult:
     rbar = coverage_radius(vars.altitude_m, vars.half_beamwidth_rad)
     layout = make_layout(params, vars, total_area_m2=1.5 * SQRT3 * rbar**2)
-    values = np.empty(spec.realizations)
-    counts = np.empty(spec.realizations, dtype=int)
-    for i in range(spec.realizations):
-        real = sample_gts(layout, spec.region, (spec.seed, i),
-                          params.density_per_m2, count_model=spec.count_model)
-        counts[i] = len(real.positions)
-        values[i] = _realized_sum_rate(spec.mode, real.positions, params, vars)
+    expected = layout.mean_gts_hex if spec.region == HEXAGON else layout.mean_gts_disk
+    # a cell expecting under one terminal still gets bounded blocks
+    per_block = max(1, int(BLOCK_TERMINALS / max(expected, 1.0)))
+    rng = np.random.default_rng(spec.seed)
+    values, counts = [], []
+    for start in range(0, spec.realizations, per_block):
+        block = sample_gts(layout, spec.region, rng, params.density_per_m2,
+                           count_model=spec.count_model,
+                           realizations=min(per_block, spec.realizations - start))
+        counts.append(block.counts)
+        values.append(_block_values(spec.mode, block, params, vars))
+    values = np.concatenate(values)
+    counts = np.concatenate(counts)
     analytic = rate_value(spec.mode, params, vars.altitude_m, vars.half_beamwidth_rad)
     mean = float(np.mean(values))
     stderr = (float(np.std(values, ddof=1) / math.sqrt(spec.realizations))
@@ -131,17 +160,14 @@ def simulate_mc_mission(params: SystemParams, vars: DeploymentVars,
     layout = make_layout(params, vars, total_area_m2=area_m2)
     total = mission_time_mc(params, vars,
                             McMission(mission.file_size_bits, total_gts=None), area_m2)
-    consts = derived_constants(params)
-    h, theta = vars.altitude_m, vars.half_beamwidth_rad
     edge_rate = cell_edge_rate_mc(params, vars)
+    real = sample_gts(layout, spec.region, spec.seed, params.density_per_m2,
+                      count_model=spec.count_model, realizations=spec.realizations)
     worst = math.inf
-    for i in range(spec.realizations):
-        real = sample_gts(layout, spec.region, (spec.seed, i),
-                          params.density_per_m2, count_model=spec.count_model)
-        if len(real.positions):
-            d2 = h**2 + real.positions[:, 0]**2 + real.positions[:, 1]**2
-            rates = np.log1p(consts.alpha / (theta**2 * d2)) / LN2
-            worst = min(worst, float(np.min(rates)))
+    if len(real.r2):
+        d2 = vars.altitude_m**2 + float(real.r2.max())
+        snr = derived_constants(params).alpha / (vars.half_beamwidth_rad**2 * d2)
+        worst = math.log1p(snr) / LN2
     return MissionSimResult(
         total_time_s=total,
         per_cell_time_s=total / layout.n_cells,

@@ -111,6 +111,26 @@ def test_seed_flag_overrides_config(cfg_path, tmp_path, capsys):
     assert reseeded.startswith(b"# seed=99\n")
 
 
+def test_cached_parser_parses_each_call_afresh(cfg_path, tmp_path, capsys):
+    # the parser is built once per process; nothing may carry over from one
+    # call to the next, a usage error included
+    assert cli.build_parser() is cli.build_parser()
+    assert run(cfg_path, tmp_path, "sweep", "--mode", "bc", "--var", "theta",
+               "--range", "0.3:0.6:3", "--with-sim", "--realizations", "7") == 0
+    capsys.readouterr()
+    assert run(cfg_path, tmp_path, "simulate", "--mode", "mac",
+               "--altitude", "300", "--theta", "0.4") == 0
+    report = parse_report(capsys.readouterr().out)
+    assert (report["mode"], report["realizations"]) == ("mac", "100")
+    assert "realizations_csv" not in report
+    with pytest.raises(SystemExit) as exc:
+        run(cfg_path, tmp_path, "optimize", "--mode", "uplink")
+    assert exc.value.code == 2
+    assert "invalid choice: 'uplink'" in capsys.readouterr().err
+    assert run(cfg_path, tmp_path, "optimize", "--mode", "mc") == 0
+    assert parse_report(capsys.readouterr().out)["mode"] == "mc"
+
+
 def test_sweep_range_validation(cfg_path, tmp_path, capsys):
     assert run(cfg_path, tmp_path, "sweep", "--mode", "mc", "--var", "h",
                "--range", "500:100:5") == 2

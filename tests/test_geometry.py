@@ -107,3 +107,56 @@ def test_hexagon_sampling_is_uniform(params, one_cell):
 def test_bad_region_rejected(params, one_cell):
     with pytest.raises(ValueError):
         sample_gts(one_cell, "square", 0, params.density_per_m2)
+
+
+@pytest.mark.parametrize("region, mean_r2", [(DISK, 1 / 2), (HEXAGON, 5 / 12)])
+@pytest.mark.parametrize("count_model", ["poisson", "fixed"])
+def test_batched_sampling(params, one_cell, region, mean_r2, count_model):
+    real = sample_gts(one_cell, region, 3, params.density_per_m2,
+                      count_model=count_model, realizations=2000)
+    assert len(real.counts) == 2000
+    assert real.counts.sum() == len(real.positions) == len(real.r2)
+    x, y = real.positions.T
+    assert np.array_equal(real.r2, x**2 + y**2)
+    R = one_cell.circumradius_m
+    contains = hex_contains if region == HEXAGON else disk_contains
+    assert contains(real.positions, R).all()
+    # E[r^2] of a uniform point is R^2/2 on the disk and 5R^2/12 on the
+    # hexagon, in either half of the realizations: 3 % is at least 6
+    # standard errors of a half's 13k to 17k points
+    half = len(real.r2) // 2
+    for part in (real.r2[:half], real.r2[half:]):
+        assert np.mean(part) / R**2 == pytest.approx(mean_r2, rel=0.03)
+    again = sample_gts(one_cell, region, 3, params.density_per_m2,
+                       count_model=count_model, realizations=2000)
+    for name in ("positions", "counts", "r2"):
+        assert np.array_equal(getattr(real, name), getattr(again, name))
+
+
+def test_sampling_draws_from_a_generator_in_place(params, one_cell):
+    rng = np.random.default_rng(8)
+    first = sample_gts(one_cell, DISK, rng, params.density_per_m2, realizations=4)
+    second = sample_gts(one_cell, DISK, rng, params.density_per_m2, realizations=4)
+    assert not np.array_equal(first.counts, second.counts)
+    with pytest.raises(ValueError):
+        sample_gts(one_cell, DISK, rng, params.density_per_m2, realizations=0)
+
+
+class _StingyGenerator(np.random.Generator):
+    """Returns a quarter of the uniform draws asked for, so that rejection
+    sampling needs several rounds."""
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return super().uniform(low, high, size=max(1, size // 4))
+
+
+@pytest.mark.parametrize("region", [DISK, HEXAGON])
+def test_rejection_sampling_tops_up_short_rounds(params, one_cell, region):
+    rng = _StingyGenerator(np.random.PCG64(4))
+    real = sample_gts(one_cell, region, rng, params.density_per_m2,
+                      count_model="fixed", realizations=3)
+    mean = one_cell.mean_gts_hex if region == HEXAGON else one_cell.mean_gts_disk
+    assert len(real.positions) == len(real.r2) == 3 * round(mean)
+    assert np.array_equal(real.r2, real.positions[:, 0]**2 + real.positions[:, 1]**2)
+    contains = hex_contains if region == HEXAGON else disk_contains
+    assert contains(real.positions, one_cell.circumradius_m).all()

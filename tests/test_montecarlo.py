@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from uavcell import (DeploymentVars, McMission, SimSpec, cell_edge_rate_mc,
-                     mission_time_mc, simulate_mc_mission, simulate_rate)
+from uavcell import (MODES, DeploymentVars, McMission, SimSpec, cell_edge_rate_mc,
+                     coverage_radius, geometry, mission_time_mc, montecarlo,
+                     simulate_mc_mission, simulate_rate, snr_bc, snr_mac, snr_mc)
+from uavcell.geometry import SQRT3
 
 
 def test_simspec_region_defaults():
@@ -47,13 +49,76 @@ def test_mac_agrees_with_fixed_counts(params):
 
 
 def test_mc_realizations_factorize(params):
-    # every sampled terminal decodes the cell-edge rate, so each realization
-    # is exactly count * edge_rate
+    # the common stream runs at the rate of the farthest sampled terminal,
+    # so each realization is count * a rate between the cell-edge rate and
+    # the centre rate, and it varies even with a fixed count
     point = DeploymentVars.point(150.0, 0.5)
-    res = simulate_rate(params, point, SimSpec(mode="mc", realizations=10, seed=1))
+    res = simulate_rate(params, point,
+                        SimSpec(mode="mc", realizations=10, seed=1, count_model="fixed"))
     edge = cell_edge_rate_mc(params, point)
-    np.testing.assert_allclose(res.per_realization, res.gt_counts * edge,
-                               rtol=1e-12)
+    centre = math.log2(1.0 + snr_mc(0.0, params, point))
+    per_gt = res.per_realization / res.gt_counts
+    assert np.all((per_gt > edge) & (per_gt < centre))
+    assert res.empirical_stderr_bps_hz > 0.0
+
+
+def _loop_reference(mode, params, point, positions, counts):
+    """Per-realization values by a plain loop over the realizations, from
+    the positions and the per-terminal SNRs of the channel model."""
+    rbar = coverage_radius(point.altitude_m, point.half_beamwidth_rad)
+    k_disk = params.density_per_m2 * math.pi * rbar**2
+    values = []
+    start = 0
+    for n in counts.tolist():
+        r = np.hypot(*positions[start:start + n].T)
+        start += n
+        if n == 0:
+            values.append(0.0)
+        elif mode == "mc":
+            values.append(n * math.log2(1.0 + snr_mc(float(r.max()), params, point)))
+        elif mode == "bc":
+            values.append(float(np.mean(np.log2(1.0 + snr_bc(r, params, point)))))
+        else:
+            snr = snr_mac(r, params, point) * n / k_disk
+            values.append(float(np.mean(np.log2(1.0 + snr))))
+    return np.array(values)
+
+
+# (H, theta, realizations): about one terminal per cell, so that many
+# realizations are empty; about 1,000, several realizations per block;
+# more than BLOCK_TERMINALS, one realization per block
+LOOP_POINTS = ((40.0, 0.2, 300), (300.0, 0.7, 20), (600.0, 1.0, 3))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("h, theta, realizations", LOOP_POINTS)
+def test_block_values_match_a_loop(params, monkeypatch, mode, h, theta, realizations):
+    blocks = []
+
+    def record(*args, **kwargs):
+        blocks.append(geometry.sample_gts(*args, **kwargs))
+        return blocks[-1]
+
+    monkeypatch.setattr(montecarlo, "sample_gts", record)
+    point = DeploymentVars.point(h, theta)
+    res = simulate_rate(params, point, SimSpec(mode=mode, realizations=realizations, seed=9))
+    counts = np.concatenate([block.counts for block in blocks])
+    positions = np.concatenate([block.positions for block in blocks])
+    assert np.array_equal(counts, res.gt_counts)
+    # the same float64 terms, summed in another order (seen: 7e-16)
+    np.testing.assert_allclose(res.per_realization,
+                               _loop_reference(mode, params, point, positions, counts),
+                               rtol=1e-12, atol=0.0)
+    # whole realizations per block, a block over BLOCK_TERMINALS only alone
+    area_per_r2 = 1.5 * SQRT3 if mode == "mc" else math.pi  # hexagon or disk
+    expected = params.density_per_m2 * area_per_r2 * (h * math.tan(theta))**2
+    sizes = [len(block.counts) for block in blocks]
+    assert sum(sizes) == realizations
+    assert all(k == 1 or k * expected <= montecarlo.BLOCK_TERMINALS for k in sizes)
+    if h == 40.0:
+        assert (counts == 0).sum() > 10
+    if h == 600.0:
+        assert counts.min() > montecarlo.BLOCK_TERMINALS and sizes == [1, 1, 1]
 
 
 def test_single_realization_has_no_stderr(params):
