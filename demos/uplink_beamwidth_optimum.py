@@ -30,8 +30,8 @@ thetas = np.linspace(0.1, 1.5, 15)
 
 print("uplink sum throughput, bps/Hz (any altitude; it cancels)")
 print(f"{'theta_rad':>10}", *(f"rho={rho}".rjust(11) for rho in densities))
-for theta in thetas:
-    vals = [rate_value("mac", make_params(rho), 100.0, theta) for rho in densities]
+curves = [rate_value("mac", make_params(rho), 100.0, thetas) for rho in densities]
+for theta, *vals in zip(thetas, *curves):
     print(f"{theta:10.2f}", *(f"{v:11.3f}" for v in vals))
 
 box = DeploymentVars(altitude_m=100.0, half_beamwidth_rad=0.3,

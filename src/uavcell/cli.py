@@ -258,17 +258,13 @@ def cmd_plan(cfg: Config, args, out_dir: Path) -> int:
                          (cfg.area_width_m, cfg.area_height_m))
 
     hover_total = float(plan.hover_times_s.sum())
-    rows = []
-    cumulative = 0.0
-    previous = None
-    speed = cfg.uav_speed_mps
-    for index, (center, hover) in enumerate(zip(plan.centers, plan.hover_times_s)):
-        if previous is not None:
-            cumulative += math.hypot(center[0] - previous[0],
-                                     center[1] - previous[1]) / speed
-        cumulative += float(hover)
-        rows.append((index, float(center[0]), float(center[1]), float(hover), cumulative))
-        previous = center
+    # hover, fly, hover, ... summed in visiting order (cumsum adds in sequence)
+    times = np.empty(2 * len(plan.centers) - 1)
+    times[0::2] = plan.hover_times_s
+    times[1::2] = np.hypot(*np.diff(plan.centers, axis=0).T) / cfg.uav_speed_mps
+    cumulative = np.cumsum(times)[0::2]
+    rows = zip(range(len(plan.centers)), *plan.centers.T.tolist(),
+               plan.hover_times_s.tolist(), cumulative.tolist())
     path = out_dir / f"plan_{args.mode}.csv"
     _write_csv(path, ("cell_index", "x_m", "y_m", "hover_s", "cumulative_s"), rows)
 
@@ -290,6 +286,8 @@ def cmd_plan(cfg: Config, args, out_dir: Path) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
         cfg = load_config(args.config)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -12,7 +12,8 @@ import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .params import DeploymentVars, SystemParams, dbm_to_watts
+from .params import (DeploymentVars, DerivedConstantError, SystemParams, dbm_to_watts,
+                     derived_constants)
 
 
 class ConfigError(ValueError):
@@ -68,6 +69,8 @@ _DBM = ("p_downlink_dbm", "p_uplink_dbm", "noise_psd_dbm_hz")
 _REQUIRED = ("beta0", "bandwidth_hz", *_DBM, "density_per_m2", "h_min_m", "h_max_m")
 _OPTIONAL_POSITIVE = ("area_m2", "area_width_m", "area_height_m",
                       "file_size_bits", "period_s", "uav_speed_mps")
+# the power key of each derived SNR scale; both also scale with 1/noise
+_SNR_SCALE_KEYS = {"alpha": "p_downlink_dbm", "eta": "p_uplink_dbm"}
 _KNOWN = set(_REQUIRED) | set(_OPTIONAL_POSITIVE) | {
     "theta_min_rad", "theta_max_rad", "theta_min_deg", "theta_max_deg", "seed"}
 
@@ -123,6 +126,8 @@ def load_config(path) -> Config:
         seed = raw["seed"]
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise ConfigError(f"seed: expected an integer, got {seed!r}")
+        if seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {seed}")
         fields["seed"] = seed
 
     cfg = Config(**fields)
@@ -147,6 +152,12 @@ def _validate(cfg: Config):
         if not 0.0 < watts < math.inf:
             raise ConfigError(f"{key}: {dbm} dBm is {watts} W, not a positive "
                               "finite power")
+    try:
+        derived_constants(cfg.system_params())
+    except DerivedConstantError as exc:
+        key = _SNR_SCALE_KEYS[exc.name]
+        raise ConfigError(f"{key}/noise_psd_dbm_hz: {exc} ({key}={getattr(cfg, key)}, "
+                          f"noise_psd_dbm_hz={cfg.noise_psd_dbm_hz})") from exc
     if cfg.h_min_m > cfg.h_max_m:
         raise ConfigError(f"h_min_m: must satisfy h_min_m <= h_max_m, got "
                           f"{cfg.h_min_m} > {cfg.h_max_m}")

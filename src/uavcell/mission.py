@@ -6,10 +6,17 @@ centers along a short closed tour, hovering over each center long enough to
 serve the cell, then flying to the next. The model assumes hovering time
 dominates flying time; the planner reports the actual ratio and warns when
 it drops below 10.
+
+The tour is built from the lattice, with no search. Centers are at least
+one pitch, sqrt(3)*rbar, apart, so no closed tour over n of them is shorter
+than n pitches. layout_centers returns the centers in tour order: a cycle
+of pitch steps only for every layout of two or more columns and four or
+more distinct y values, the column itself for a single column, and a
+two-chain tour for a strip of at most three y values. plan_tour keeps
+nearest neighbor plus 2-opt for arbitrary point sets.
 """
 from __future__ import annotations
 
-import bisect
 import logging
 import math
 from dataclasses import dataclass, field
@@ -63,19 +70,32 @@ def _hex_overlaps_rect(cx, cy, circumradius: float, width: float, height: float)
 
 
 def _serpentine(columns: list, y_rank: list) -> list:
-    """Closed visiting order over lattice columns, left to right, each column
-    a list of cell ids bottom to top.
+    """Closed visiting order over two or more lattice columns, left to right,
+    each column a list of cell ids bottom to top. Every step is one pitch.
 
     Column 0 goes up, the middle columns alternate down and up without their
     bottom cells, the last column goes down, and the tour returns along the
-    skipped bottom cells. That needs an even column count, so an odd count
-    merges the last two columns into one, ordered by y_rank (neighbouring
-    columns are offset half a row, so each step of the merge is one pitch).
+    skipped bottom cells. Neighbouring columns are offset half a row, and
+    their top and bottom cells differ by half a row, so each step between
+    columns is one pitch. That needs an even column count.
+
+    With an odd count, the last two columns B and C are walked down as one
+    column, a zig-zag over their cells in y_rank order. It has to start at
+    B's top, which neighbours the column before, and end at B's bottom,
+    which neighbours the return corridor. Where C's top cell is the highest
+    of the two columns, the zig-zag takes B's top first, then C's top, then
+    steps one pitch down C. Where C's bottom cell is the lowest, it steps
+    one pitch down C to that cell and then goes to B's bottom.
     """
-    if len(columns) % 2 and len(columns) > 1:
-        columns = columns[:-2] + [sorted(columns[-2] + columns[-1], key=y_rank.__getitem__)]
-    if len(columns) == 1:
-        return columns[0]
+    if len(columns) % 2:
+        *columns, b, c = columns
+        down = sorted(b + c, key=y_rank.__getitem__, reverse=True)
+        in_c = set(c)
+        if down[0] in in_c:
+            down[:2] = down[1::-1]
+        if down[-1] in in_c:
+            down[-2:] = down[:-3:-1]
+        columns.append(down[::-1])
     first, *middle, last = columns
     order = list(first)
     for index, column in enumerate(middle):
@@ -85,14 +105,28 @@ def _serpentine(columns: list, y_rank: list) -> list:
     return order
 
 
+def _strip_tour(ids: np.ndarray, y_rank: np.ndarray, points: np.ndarray) -> list:
+    """Closed tour over a strip of at most three y values, ids in lattice
+    (x, then y) order. Two chains split the y values at a cut: out through
+    the lower values in x order, back through the rest in reverse. The
+    shortest over the cuts is kept."""
+    tours = []
+    for cut in range(y_rank.min() + 1, y_rank.max() + 1):
+        low = y_rank < cut
+        order = np.concatenate((ids[low], ids[~low][::-1])).tolist()
+        tours.append((_cycle_length(points, order), order))
+    return min(tours, key=lambda tour: tour[0])[1]
+
+
 def layout_centers(width_m: float, height_m: float, circumradius_m: float) -> np.ndarray:
-    """Cell centers of the hexagonal tessellation serving the rectangle.
+    """Cell centers of the hexagonal tessellation serving the rectangle, in
+    closed-tour order.
 
     Keeps every lattice cell whose hexagon overlaps the rectangle, so each
     area point lies in some kept cell and therefore within circumradius of
     its center. Edge cells overhang the boundary; that is intended. The
-    centers come in the serpentine order of _serpentine, taken from the
-    lattice indices, which plan_tour can use as its start tour.
+    order comes from the lattice indices: a single column bottom to top,
+    _strip_tour for at most three y values, _serpentine otherwise.
     """
     if width_m <= 0.0 or height_m <= 0.0:
         raise ValueError(f"rectangle dims must be > 0, got {width_m} x {height_m}")
@@ -103,13 +137,20 @@ def layout_centers(width_m: float, height_m: float, circumradius_m: float) -> np
     k_hi = math.floor((height_m + SQRT3 * rbar) / (SQRT3 * rbar)) + 1
     j = np.arange(-1, j_hi + 1)[:, None]
     k = np.arange(-1, k_hi + 1)[None, :]
-    cx = np.broadcast_to(1.5 * rbar * j, (j.size, k.size))
-    cy = SQRT3 * rbar * k + (j % 2) * (SQRT3 / 2 * rbar)  # odd columns half a row up
+    cx = np.broadcast_to(1.5 * rbar * j, (j.size, k.size)).ravel()
+    cy = (SQRT3 * rbar * k + (j % 2) * (SQRT3 / 2 * rbar)).ravel()  # odd columns half a row up
     keep = _hex_overlaps_rect(cx, cy, rbar, width_m, height_m)
-    columns = [(np.flatnonzero(row) + c * k.size).tolist()
-               for c, row in enumerate(keep) if row.any()]
-    order = _serpentine(columns, (2 * k + j % 2).ravel().tolist())
-    return np.column_stack((cx.ravel()[order], cy.ravel()[order]))
+    y_rank = (2 * k + j % 2).ravel()  # y in half rows
+    ids = np.flatnonzero(keep)
+    column = ids // k.size
+    if column[0] == column[-1]:
+        order = ids
+    elif np.ptp(y_rank[ids]) <= 2:  # the y values of two or more columns are contiguous
+        order = _strip_tour(ids, y_rank[ids], np.column_stack((cx, cy)))
+    else:
+        columns = np.split(ids, np.flatnonzero(np.diff(column)) + 1)
+        order = _serpentine([c.tolist() for c in columns], y_rank.tolist())
+    return np.column_stack((cx[order], cy[order]))
 
 
 def _cycle_length(points: np.ndarray, order: list) -> float:
@@ -120,7 +161,7 @@ def _cycle_length(points: np.ndarray, order: list) -> float:
 _GAIN_TOL = 1e-9  # a 2-opt move must shorten the cycle by more than this
 
 
-def _two_opt(points: np.ndarray, order: list, pitch: float = 0.0) -> list:
+def _two_opt(points: np.ndarray, order: list) -> list:
     """Reverse tour segments while any swap shortens the cycle.
 
     For each cut position i the deltas of all candidate second cuts j are
@@ -128,23 +169,11 @@ def _two_opt(points: np.ndarray, order: list, pitch: float = 0.0) -> list:
     Segment lengths are cached and patched after each reversal (interior
     segments keep their lengths in reverse order, only the two cut edges
     change).
-
-    pitch > 0 promises that no two points are closer than pitch. Both edges a
-    move adds are then at least a pitch long, so a move gains more than
-    _GAIN_TOL only if its two removed edges exceed two pitches by that much:
-    when seg[i-1] is within _GAIN_TOL/2 of a pitch, only the j with seg[j]
-    above pitch + _GAIN_TOL/4 can improve (a quarter of the tolerance is
-    slack for rounding) and the rest of the row is skipped. The result is
-    the same order as with pitch 0.
     """
     order = np.asarray(order, dtype=int)
     pts = points[order]
     n = len(pts)
     seg = np.hypot(*(np.roll(pts, -1, axis=0) - pts).T)  # seg[i] = |p_i p_{i+1}|
-    prune = pitch > 0.0
-    short = pitch + _GAIN_TOL / 2
-    long_min = pitch + _GAIN_TOL / 4
-    long_js = np.flatnonzero(seg > long_min).tolist()
     improved = True
     while improved:
         improved = False
@@ -152,14 +181,7 @@ def _two_opt(points: np.ndarray, order: list, pitch: float = 0.0) -> list:
             j_hi = n - 1 if i > 0 else n - 2  # whole-cycle reversal changes nothing
             if j_hi < i + 1:
                 continue
-            if prune and seg[i - 1] <= short:
-                lo = bisect.bisect_left(long_js, i + 1)
-                hi = bisect.bisect_right(long_js, j_hi)
-                if lo == hi:
-                    continue
-                js = np.array(long_js[lo:hi])
-            else:
-                js = np.arange(i + 1, j_hi + 1)
+            js = np.arange(i + 1, j_hi + 1)
             a = pts[i - 1]  # wraps to pts[n-1] when i == 0
             b = pts[i]
             c = pts[js]
@@ -176,8 +198,6 @@ def _two_opt(points: np.ndarray, order: list, pitch: float = 0.0) -> list:
                 seg[i - 1] = math.hypot(pts[i, 0] - a[0], pts[i, 1] - a[1])
                 jn = (j + 1) % n
                 seg[j] = math.hypot(pts[jn, 0] - pts[j, 0], pts[jn, 1] - pts[j, 1])
-                if prune:
-                    long_js = np.flatnonzero(seg > long_min).tolist()
                 improved = True
     return [int(v) for v in order]
 
@@ -185,13 +205,12 @@ def _two_opt(points: np.ndarray, order: list, pitch: float = 0.0) -> list:
 def plan_tour(centers: np.ndarray, start, v_max: float, *, pitch: float = 0.0) -> MissionPlan:
     """Geometry part of the plan: visit order and flying time, no hover yet.
 
-    Nearest-neighbor construction from the point nearest `start`, improved by
-    2-opt until no move helps. pitch > 0 promises that no two centers are
-    closer than pitch, as on a lattice: the centers' given order, restarted
-    at the point nearest `start`, then replaces nearest neighbor as the start
-    tour, and 2-opt skips the moves that cannot gain (see _two_opt).
-    tour_length_m is the closed cycle over the centers; the depot leg is
-    excluded (a single center gives length 0).
+    pitch > 0 says the centers are a lattice layout of that pitch, given in
+    the tour order of layout_centers: that cycle is the tour, restarted at
+    the center nearest `start`. Otherwise the tour is a nearest-neighbor
+    construction from the center nearest `start`, improved by 2-opt until
+    no move helps. tour_length_m is the closed cycle over the centers; the
+    depot leg is excluded (a single center gives length 0).
     """
     centers = np.asarray(centers, dtype=float)
     if centers.ndim != 2 or centers.shape[1] != 2 or len(centers) == 0:
@@ -206,6 +225,7 @@ def plan_tour(centers: np.ndarray, start, v_max: float, *, pitch: float = 0.0) -
     if pitch > 0.0:
         order = list(range(cur, n)) + list(range(cur))
     else:
+        first = cur
         order = [cur]
         remaining = np.ones(n, dtype=bool)
         remaining[cur] = False
@@ -215,11 +235,10 @@ def plan_tour(centers: np.ndarray, start, v_max: float, *, pitch: float = 0.0) -
             cur = int(np.argmin(dists))
             order.append(cur)
             remaining[cur] = False
-    first = order[0]
-    if n > 2:
-        order = _two_opt(centers, order, pitch)
-        pos = order.index(first)  # 2-opt may rotate; restart the cycle at the
-        order = order[pos:] + order[:pos]  # center nearest `start`
+        if n > 2:
+            order = _two_opt(centers, order)
+            pos = order.index(first)  # 2-opt may rotate; restart the cycle at the
+            order = order[pos:] + order[:pos]  # center nearest `start`
     length = _cycle_length(centers, order)
     fly = length / v_max
     return MissionPlan(centers=centers[order], tour_length_m=length,

@@ -110,9 +110,18 @@ class DerivedConstants:
     eta: float
 
     def __post_init__(self):
-        if not (self.alpha > 0.0 and self.eta > 0.0):
-            raise ValueError(f"derived constants must be positive, got "
-                             f"alpha={self.alpha}, eta={self.eta}")
+        for name in ("alpha", "eta"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise DerivedConstantError(name, value)
+
+
+class DerivedConstantError(ValueError):
+    """A derived SNR scale (alpha or eta) that is not positive and finite."""
+
+    def __init__(self, name: str, value: float):
+        super().__init__(f"derived constant {name} must be positive and finite, got {value}")
+        self.name = name
 
 
 @lru_cache(maxsize=None)

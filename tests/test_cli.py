@@ -236,6 +236,31 @@ def test_dbm_overflow_exits_2(tmp_path, capsys, key):
     assert err.startswith(f"config error: {key}: ")
 
 
+def test_overflowing_snr_scale_names_its_key(tmp_path, capsys):
+    # 3100 dBm is a finite power, but the downlink SNR scale alpha overflows
+    path = tmp_path / "loud.json"
+    path.write_text(json.dumps(dict(BASE, p_downlink_dbm=3100.0)))
+    assert run(path, tmp_path, "optimize", "--mode", "mac") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: p_downlink_dbm/noise_psd_dbm_hz: ")
+    assert "alpha" in err and "altitude" not in err
+
+
+def test_negative_config_seed_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(BASE, seed=-3)))
+    assert run(path, tmp_path, "sweep", "--mode", "bc", "--var", "theta", "--range",
+               "0.3:0.6:3", "--with-sim", "--realizations", "5") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: seed: ") and "--seed" not in err
+
+
+def test_negative_seed_flag_exits_2(cfg_path, tmp_path, capsys):
+    assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path), "--seed", "-3",
+                     "simulate", "--mode", "mc", "--realizations", "5"]) == 2
+    assert capsys.readouterr().err.startswith("config error: --seed: ")
+
+
 def test_plan_refuses_absurd_cell_count(cfg_path, tmp_path, capsys):
     # the bc optimum shrinks cells to a few meters; planning 10^5 of them
     # is a config problem, not a tour to grind through
@@ -308,5 +333,5 @@ def test_loud_narrow_sweeps_print_no_warnings(tmp_path, capsys):
             assert run(overflowing, tmp_path, "sweep", "--mode", mode, "--var", "theta",
                        "--range", "0.001:1.5:200") == 2
             err = capsys.readouterr().err
-            assert err.startswith(f"config error: {mode} rate is not finite")
+            assert err.startswith("config error: p_downlink_dbm/noise_psd_dbm_hz: ")
             assert len(err.splitlines()) == 1

@@ -112,6 +112,22 @@ def test_dbm_beyond_float_power_rejected(tmp_path, key, dbm):
         load_config(write_cfg(tmp_path, {key: dbm}))
 
 
+def test_negative_seed_rejected(tmp_path):
+    with pytest.raises(ConfigError, match="seed: must be >= 0"):
+        load_config(write_cfg(tmp_path, {"seed": -3}))
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"p_downlink_dbm": 3100.0}, "p_downlink_dbm"),  # alpha = inf
+    ({"p_uplink_dbm": 3100.0}, "p_uplink_dbm"),  # eta = inf
+    ({"p_downlink_dbm": -3000.0, "noise_psd_dbm_hz": 3000.0}, "p_downlink_dbm"),  # alpha = 0
+])
+def test_derived_snr_scale_must_be_finite(tmp_path, overrides, key):
+    with pytest.raises(ConfigError, match=f"^{key}/noise_psd_dbm_hz: ") as info:
+        load_config(write_cfg(tmp_path, overrides))
+    assert "altitude" not in str(info.value)
+
+
 def test_area_keys(tmp_path):
     cfg = load_config(write_cfg(tmp_path, {"area_width_m": 1000.0,
                                            "area_height_m": 800.0}))

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from uavcell import (DeploymentVars, assemble_plan, cell_edge_rate_mc,
-                     layout_centers, plan_tour)
-from uavcell.mission import _two_opt
+                     layout_centers, mission, plan_tour)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -183,39 +182,57 @@ def test_lattice_plan_never_longer_than_nearest_neighbor():
 
 
 def test_lattice_plan_reaches_bound():
-    # an even column count gives a serpentine of pitch steps only; an odd one
-    # leaves two longer steps that 2-opt removes
+    # one even and one odd column count
     for w in (1000.0, 1100.0):
         centers = layout_centers(w, 800.0, 100.0)
         plan = plan_tour(centers, (0.0, 0.0), 1.0, pitch=SQRT3 * 100.0)
         assert plan.tour_length_m == pytest.approx(len(centers) * SQRT3 * 100.0, rel=1e-12)
 
 
-def test_pruned_two_opt_matches_full_scan_on_random_points():
-    rng = np.random.default_rng(3)
-    for n in (3, 7, 30, 80):
-        pts = rng.uniform(0.0, 1000.0, size=(n, 2))
-        gaps = np.hypot(pts[:, None, 0] - pts[None, :, 0], pts[:, None, 1] - pts[None, :, 1])
-        pitch = float(gaps[np.triu_indices(n, 1)].min())
-        start = rng.permutation(n).tolist()
-        assert _two_opt(pts, start, pitch) == _two_opt(pts, start, 0.0)
-    # random subsets of a lattice: many edges exactly one pitch long
-    lattice = layout_centers(200.0, 180.0, 10.0)
-    for _ in range(4):
-        pts = lattice[rng.random(len(lattice)) < 0.6]
-        start = rng.permutation(len(pts)).tolist()
-        assert _two_opt(pts, start, SQRT3 * 10.0) == _two_opt(pts, start, 0.0)
+def _no_two_opt(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("lattice tours must not call 2-opt")
+    monkeypatch.setattr(mission, "_two_opt", refuse)
 
 
-def test_pruned_two_opt_matches_full_scan_on_lattice_starts():
-    rng = np.random.default_rng(4)
-    for w, h in ((200.0, 180.0), (600.0, 40.0), (30.0, 500.0), (310.0, 250.0)):
+# 40 x 40 rectangles from 3 m to 600 m a side with R = 10 m, plus SIDES_R
+RECTANGLES = (list(itertools.product(np.geomspace(3.0, 600.0, 40), repeat=2))
+              + [(w * 10.0, h * 10.0) for w, h in itertools.product(SIDES_R, SIDES_R)])
+
+
+def test_lattice_tours_are_exact_by_construction(monkeypatch):
+    _no_two_opt(monkeypatch)
+    pitch = SQRT3 * 10.0
+    kinds = set()
+    for w, h in RECTANGLES:
         centers = layout_centers(w, h, 10.0)
+        plan = plan_tour(centers, (0.0, 0.0), 1.0, pitch=pitch)
         n = len(centers)
-        serpentine = list(range(n))
-        shuffled = rng.permutation(n).tolist()
-        for start in (serpentine, shuffled):
-            assert _two_opt(centers, start, SQRT3 * 10.0) == _two_opt(centers, start, 0.0)
+        columns = len(np.unique(centers[:, 0]))
+        levels = len(np.unique(np.round(centers[:, 1] / (pitch / 2))))
+        if columns == 1:
+            kinds.add("column")
+            assert plan.tour_length_m == pytest.approx(2 * (n - 1) * pitch, rel=1e-12), (w, h)
+        elif levels >= 4:
+            kinds.add(columns % 2)
+            steps = np.hypot(*(np.roll(plan.centers, -1, axis=0) - plan.centers).T)
+            np.testing.assert_allclose(steps, pitch, rtol=1e-12, err_msg=f"{w} x {h}")
+    assert kinds == {"column", 0, 1}
+
+
+def test_large_lattices_tour_without_two_opt(monkeypatch):
+    _no_two_opt(monkeypatch)
+    pitch = SQRT3 * 10.0
+    strip = layout_centers(29991.0, 3.0, 10.0)  # two y values
+    assert (len(strip), len(np.unique(strip[:, 1]))) == (2001, 2)
+    plan = plan_tour(strip, (0.0, 0.0), 1.0, pitch=pitch)
+    # out along the 1,001 even columns, x = 0 to 30,000 m, back along the
+    # 1,000 odd ones, x = 29,985 to 15 m, and one pitch at each turn
+    assert plan.tour_length_m == pytest.approx(30000.0 + 29970.0 + 2 * pitch, rel=1e-12)
+    lattice = layout_centers(5100.0, 5100.0, 10.0)
+    assert len(lattice) > 100_000
+    plan = plan_tour(lattice, (0.0, 0.0), 1.0, pitch=pitch)
+    assert plan.tour_length_m == pytest.approx(len(lattice) * pitch, rel=1e-12)
 
 
 def test_assemble_plan_uses_lattice_tour(params):

@@ -110,3 +110,30 @@ def test_span_counts_match_reported_terminals(traced):
 
 def test_nothing_reaches_stderr(traced):
     assert traced[3] == ""
+
+
+def test_plan_spans_count_cells(tmp_path):
+    """The traced lattice-plan figures read these three spans; mission.tour_s
+    is a per-pass median over plan_tour and needs at least one."""
+    spans = _load_spans()
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(dict(CONFIG, h_max_m=100.0, theta_max_rad=0.5,
+                                      area_width_m=1000.0, area_height_m=800.0,
+                                      file_size_bits=1.0e8, uav_speed_mps=20.0)))
+    recorder = spans.Recorder()
+    out = io.StringIO()
+    recorder.install()
+    try:
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["--config", str(config), "--out", str(tmp_path),
+                             "plan", "--mode", "mc"]) == 0
+    finally:
+        recorder.uninstall()
+    report = dict(line.split("=", 1) for line in out.getvalue().splitlines())
+    n_cells = int(report["n_cells"])
+    assert n_cells > 100
+    for name in ("mission.plan_tour", "mission.layout_centers", "mission.assemble_plan"):
+        index = np.flatnonzero(np.array(recorder.name) == recorder.names.index(name))
+        assert [recorder.count[i] for i in index] == [n_cells], name
+    tour_s = spans.Analysis(recorder).per_pass_median("mission.plan_tour")
+    assert math.isfinite(tour_s) and tour_s > 0.0
