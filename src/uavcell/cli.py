@@ -100,11 +100,11 @@ def _report(pairs):
         print(f"{key}={_fmt(value)}")
 
 
-def _write_csv(path: Path, header, rows, seed=None):
-    # csv module dialect, \r\n line ends. Rows hold Python numbers (arrays
+def _write_csv(path: Path, header, columns, seed=None):
+    # csv module dialect, \r\n line ends. Columns hold Python numbers (arrays
     # go through .tolist()): the repr of a numpy scalar is np.float64(...)
-    lines = [",".join(header)]
-    lines += [",".join(map(repr, row)) for row in rows]
+    row_fmt = ",".join(["{!r}"] * len(columns))
+    lines = [",".join(header), *map(row_fmt.format, *columns)]
     with open(path, "w", newline="") as fh:
         if seed is not None:
             fh.write(f"# seed={seed}\n")
@@ -128,6 +128,8 @@ def _parse_range(text: str):
 
 
 def cmd_optimize(cfg: Config, args, out_dir: Path) -> int:
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise ConfigError(f"--tol: must be finite and > 0, got {args.tol}")
     params = cfg.system_params()
     box = cfg.deployment_box()
     result = optimize(args.mode, params, box, tol=args.tol)
@@ -142,7 +144,8 @@ def cmd_optimize(cfg: Config, args, out_dir: Path) -> int:
     ])
     if args.csv:
         path = out_dir / f"optimize_{result.mode}_trace.csv"
-        _write_csv(path, ("h_m", "theta_rad", "value_bps_hz"), result.trace)
+        _write_csv(path, ("h_m", "theta_rad", "value_bps_hz"),
+                   [column.tolist() for column in result.trace])
         print(f"trace_csv={path}")
     return EXIT_OK
 
@@ -173,14 +176,13 @@ def cmd_sweep(cfg: Config, args, out_dir: Path, seed: int) -> int:
         points = zip(np.broadcast_to(h, n).tolist(), np.broadcast_to(theta, n).tolist())
         columns.append([simulate_rate(params, DeploymentVars.point(*point), spec)
                         .empirical_mean_bps_hz for point in points])
-    rows = zip(*columns)
 
     path = out_dir / f"sweep_{args.mode}_{args.var}.csv"
     if args.with_sim:
         header = ("sweep_value", "analytic_bps_per_hz", "empirical_bps_per_hz")
-        _write_csv(path, header, rows, seed=seed)
+        _write_csv(path, header, columns, seed=seed)
     else:
-        _write_csv(path, ("sweep_value", "rate_bps_per_hz"), rows)
+        _write_csv(path, ("sweep_value", "rate_bps_per_hz"), columns)
     _report([
         ("mode", args.mode),
         ("var", args.var),
@@ -215,9 +217,9 @@ def cmd_simulate(cfg: Config, args, out_dir: Path, seed: int) -> int:
     ])
     if args.csv:
         path = out_dir / f"simulate_{result.mode}.csv"
-        rows = zip(range(args.realizations), result.gt_counts.tolist(),
-                   result.per_realization.tolist())
-        _write_csv(path, ("realization_index", "gt_count", "value_bps_per_hz"), rows,
+        columns = [range(args.realizations), result.gt_counts.tolist(),
+                   result.per_realization.tolist()]
+        _write_csv(path, ("realization_index", "gt_count", "value_bps_per_hz"), columns,
                    seed=seed)
         print(f"realizations_csv={path}")
     if result.relative_gap > args.gap_tol:
@@ -263,10 +265,10 @@ def cmd_plan(cfg: Config, args, out_dir: Path) -> int:
     times[0::2] = plan.hover_times_s
     times[1::2] = np.hypot(*np.diff(plan.centers, axis=0).T) / cfg.uav_speed_mps
     cumulative = np.cumsum(times)[0::2]
-    rows = zip(range(len(plan.centers)), *plan.centers.T.tolist(),
-               plan.hover_times_s.tolist(), cumulative.tolist())
+    columns = [range(len(plan.centers)), *plan.centers.T.tolist(),
+               plan.hover_times_s.tolist(), cumulative.tolist()]
     path = out_dir / f"plan_{args.mode}.csv"
-    _write_csv(path, ("cell_index", "x_m", "y_m", "hover_s", "cumulative_s"), rows)
+    _write_csv(path, ("cell_index", "x_m", "y_m", "hover_s", "cumulative_s"), columns)
 
     _report([
         ("mode", args.mode),

@@ -202,12 +202,12 @@ def _two_opt(points: np.ndarray, order: list) -> list:
     return [int(v) for v in order]
 
 
-def plan_tour(centers: np.ndarray, start, v_max: float, *, pitch: float = 0.0) -> MissionPlan:
+def plan_tour(centers: np.ndarray, start, v_max: float, *, ordered: bool = False) -> MissionPlan:
     """Geometry part of the plan: visit order and flying time, no hover yet.
 
-    pitch > 0 says the centers are a lattice layout of that pitch, given in
-    the tour order of layout_centers: that cycle is the tour, restarted at
-    the center nearest `start`. Otherwise the tour is a nearest-neighbor
+    ordered=True says the centers are already in tour order (a lattice
+    layout from layout_centers): that cycle is the tour, restarted at the
+    center nearest `start`. Otherwise the tour is a nearest-neighbor
     construction from the center nearest `start`, improved by 2-opt until
     no move helps. tour_length_m is the closed cycle over the centers; the
     depot leg is excluded (a single center gives length 0).
@@ -217,12 +217,10 @@ def plan_tour(centers: np.ndarray, start, v_max: float, *, pitch: float = 0.0) -
         raise ValueError("centers must be a non-empty (n, 2) array")
     if v_max <= 0.0:
         raise ValueError(f"v_max must be > 0, got {v_max}")
-    if not pitch >= 0.0:
-        raise ValueError(f"pitch must be >= 0, got {pitch}")
     start = np.asarray(start, dtype=float)
     n = len(centers)
     cur = int(np.argmin(np.hypot(*(centers - start).T)))
-    if pitch > 0.0:
+    if ordered:
         order = list(range(cur, n)) + list(range(cur))
     else:
         first = cur
@@ -261,7 +259,7 @@ def assemble_plan(params: SystemParams, vars: DeploymentVars, mode: str,
     rbar = coverage_radius(vars.altitude_m, vars.half_beamwidth_rad)
     centers = layout_centers(width_m, height_m, rbar)
     depot = (0.0, 0.0)  # rectangle corner nearest the origin
-    base = plan_tour(centers, depot, v_max, pitch=SQRT3 * rbar)  # lattice spacing
+    base = plan_tour(centers, depot, v_max, ordered=True)
     if mode == MC:
         hover_each = per_cell_payload / (params.bandwidth_hz * cell_edge_rate_mc(params, vars))
     else:  # bc/mac serve each cell for the configured period

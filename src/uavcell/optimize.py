@@ -2,8 +2,8 @@
 
 Altitude is settled by closed rules (the rate is monotone in H for the
 downlink modes and flat for the uplink), so only the beamwidth needs a
-numerical 1-D search: a coarse scan to bracket the peak, then golden-section
-refinement inside the winning bracket.
+numerical 1-D search: nested array scans, each a 257-point grid over the
+bracket around the previous scan's peak.
 """
 from __future__ import annotations
 
@@ -15,8 +15,7 @@ import numpy as np
 from .params import DeploymentVars, SystemParams
 from .rates import BC, MAC, MC, MODES, rate_value
 
-COARSE_POINTS = 257
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+SCAN_POINTS = 257
 
 
 @dataclass(frozen=True)
@@ -25,54 +24,49 @@ class OptResult:
     h_star_m: float
     theta_star_rad: float
     objective_bps_hz: float
-    trace: list = field(repr=False)
+    trace: tuple = field(repr=False)  # columns: h_m, theta_rad, value_bps_hz
     method: str = "closed-rule"
     h_indifferent: bool = False
 
 
 def search_1d(f, lo: float, hi: float, tol: float = 1e-4):
-    """Maximize f on [lo, hi]; returns (x_star, f_star, trace).
+    """Maximize f on [lo, hi]; returns (x_star, f_star, (xs, fs)).
 
-    Coarse scan on a fixed 257-point grid brackets the peak, golden-section
-    search refines inside the bracket to width tol. The returned point is the
-    best of every evaluation made, so it is never worse than the best coarse
-    grid point; exact ties resolve toward smaller x.
+    The first call f(xs) scans a 257-point grid over [lo, hi]. Each further
+    call rescans the bracket [x[best-1], x[best+1]] around the first maximum
+    of the last scan, until that bracket is at most tol wide or a rescan no
+    longer shrinks it (float spacing). Every scan is np.linspace, so its
+    endpoints are exactly the bracket's: an optimum on lo or hi is returned
+    exactly. x_star is the smallest x among all evaluated points that reach
+    the largest value, so exact ties resolve toward smaller x. (xs, fs) holds
+    every evaluation, scan after scan.
 
-    f must accept a numpy array as well as a float: the coarse scan is one
-    call f(xs) on the array of grid points, which must return a numpy array
-    of one value per point. The refinement calls f on single floats.
+    f must map a 1-D numpy array to an array of one value per point. It is
+    called on a single float only when lo == hi, as f(lo).
     """
     if not lo <= hi:
         raise ValueError(f"need lo <= hi, got [{lo}, {hi}]")
-    if tol <= 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     if lo == hi:
         fx = f(lo)
-        return lo, fx, [(lo, fx)]
-    xs = np.linspace(lo, hi, COARSE_POINTS)
-    fs = f(xs)
-    trace = list(zip(xs.tolist(), fs.tolist()))
-    best = int(np.argmax(fs))  # first max: ties toward smaller x
-    a = float(xs[max(best - 1, 0)])
-    b = float(xs[min(best + 1, COARSE_POINTS - 1)])
-
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    trace += [(c, fc), (d, fd)]
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-            trace.append((c, fc))
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-            trace.append((d, fd))
-    x_star, f_star = max(trace, key=lambda p: (p[1], -p[0]))
-    return x_star, f_star, trace
+        return lo, fx, (np.array([lo]), np.array([fx]))
+    xs, fs = [], []
+    a, b = lo, hi
+    while True:
+        x = np.linspace(a, b, SCAN_POINTS)
+        fx = f(x)
+        xs.append(x)
+        fs.append(fx)
+        best = int(np.argmax(fx))  # first max: ties toward smaller x
+        a2 = float(x[max(best - 1, 0)])
+        b2 = float(x[min(best + 1, SCAN_POINTS - 1)])
+        if not tol < b2 - a2 < b - a:
+            break
+        a, b = a2, b2
+    xs, fs = np.concatenate(xs), np.concatenate(fs)
+    f_star = fs.max()
+    return float(xs[fs == f_star].min()), float(f_star), (xs, fs)
 
 
 # Closed altitude rule per mode. mc: the rate is non-decreasing in altitude,
@@ -92,12 +86,11 @@ def optimize(mode: str, params: SystemParams, box: DeploymentVars,
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     h_star = _ALTITUDE_RULES[mode](box)
-    theta_star, f_star, trace1d = search_1d(
+    theta_star, f_star, (ts, vs) = search_1d(
         lambda t: rate_value(mode, params, h_star, t),
         box.theta_min_rad, box.theta_max_rad, tol=tol)
-    trace = [(h_star, t, v) for t, v in trace1d]
     return OptResult(mode=mode, h_star_m=h_star, theta_star_rad=theta_star,
-                     objective_bps_hz=f_star, trace=trace,
+                     objective_bps_hz=f_star, trace=(np.full(len(ts), h_star), ts, vs),
                      h_indifferent=(mode == MAC))
 
 
@@ -117,9 +110,7 @@ def optimize_2d_grid(params: SystemParams, box: DeploymentVars, mode: str,
     values = rate_value(mode, params, hs[:, None], ts[None, :])
     # first maximum in h-major order: ties toward smaller H, then smaller theta
     i, j = divmod(int(np.argmax(values)), n)
-    ts_list = ts.tolist()
-    trace = [(h, t, v) for h, row in zip(hs.tolist(), values.tolist())
-             for t, v in zip(ts_list, row)]
-    return OptResult(mode=mode, h_star_m=float(hs[i]), theta_star_rad=ts_list[j],
+    trace = (np.repeat(hs, n), np.tile(ts, n), values.ravel())
+    return OptResult(mode=mode, h_star_m=float(hs[i]), theta_star_rad=float(ts[j]),
                      objective_bps_hz=float(values[i, j]), trace=trace, method="grid",
                      h_indifferent=(mode == MAC))

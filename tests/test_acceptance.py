@@ -74,7 +74,7 @@ def test_criterion_02_multicast_nondecreasing_in_altitude(params):
     with criterion(2, "mc-nondecreasing-in-h", 5.0):
         hs = np.linspace(1.0, 1.0e4, 200)
         for theta in np.linspace(0.05, 1.5, 50):
-            vals = np.array([rate_value("mc", params, h, theta) for h in hs])
+            vals = rate_value("mc", params, hs, theta)
             assert np.diff(vals).min() >= -1e-12, theta
 
 
@@ -82,7 +82,7 @@ def test_criterion_03_broadcast_decreasing_in_altitude(params):
     with criterion(3, "bc-decreasing-in-h", 5.0):
         hs = np.linspace(1.0, 1.0e4, 200)
         for theta in np.linspace(0.05, 1.5, 50):
-            vals = np.array([rate_value("bc", params, h, theta) for h in hs])
+            vals = rate_value("bc", params, hs, theta)
             assert np.diff(vals).max() < 0.0, theta
 
 
@@ -90,7 +90,7 @@ def test_criterion_04_multiaccess_altitude_independent(params):
     with criterion(4, "mac-h-independence", 1.0):
         hs = np.linspace(1.0, 1.0e4, 100)
         for theta in np.linspace(0.05, 1.5, 50):
-            vals = np.array([rate_value("mac", params, h, theta) for h in hs])
+            vals = rate_value("mac", params, hs, theta)
             assert np.ptp(vals) / vals.mean() < 1e-12, theta
 
 
@@ -153,7 +153,7 @@ def test_criterion_08_multicast_beamwidth_curve_shape(params):
         thetas = np.linspace(0.02, 1.5707, 1000)
         argmaxes = []
         for h in (100.0, 300.0, 500.0):
-            vals = np.array([rate_value("mc", params, h, t) for t in thetas])
+            vals = rate_value("mc", params, h, thetas)
             signs = np.sign(np.diff(vals))
             signs = signs[signs != 0.0]
             assert np.count_nonzero(signs[1:] != signs[:-1]) <= 1, h

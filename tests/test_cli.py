@@ -4,12 +4,14 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
 import pytest
 
 from uavcell import cli
+from uavcell.optimize import SCAN_POINTS
 
 BASE = {
     "beta0": 1.42e-4,
@@ -65,9 +67,46 @@ def test_optimize_trace_csv(cfg_path, tmp_path, capsys):
     assert run(cfg_path, tmp_path, "optimize", "--mode", "bc", "--csv") == 0
     lines = (tmp_path / "optimize_bc_trace.csv").read_text().splitlines()
     assert lines[0] == "h_m,theta_rad,value_bps_hz"
-    assert len(lines) > 100  # coarse scan plus refinement
+    assert len(lines) == 1 + 2 * SCAN_POINTS  # header, then two nested scans
     # no numpy scalar reprs may leak into artifacts
     assert "np.float64" not in "".join(lines)
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_optimize_bad_tol_named(cfg_path, tmp_path, capsys, tol):
+    assert run(cfg_path, tmp_path, "optimize", "--mode", "mac", "--tol", tol) == 2
+    assert "--tol:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["1e-16", "1e-300"])
+def test_optimize_tiny_tol_terminates(cfg_path, tmp_path, capsys, tol):
+    t0 = time.perf_counter()
+    assert run(cfg_path, tmp_path, "optimize", "--mode", "mac", "--tol", tol) == 0
+    assert time.perf_counter() - t0 < 1.0
+    theta = float(parse_report(capsys.readouterr().out)["theta_star_rad"])
+    assert abs(theta - 1.3195) <= 0.005
+
+
+def test_corner_optimum_plans(tmp_path, capsys):
+    # mc rises in beamwidth below its peak near 1.4 rad, so theta* is the
+    # cap; 0.03 + (0.45 - 0.03) rounds one ulp above it
+    path = tmp_path / "corner.json"
+    path.write_text(json.dumps(dict(BASE, h_max_m=100.0, theta_min_rad=0.03,
+                                    theta_max_rad=0.45)))
+    assert run(path, tmp_path, "optimize", "--mode", "mc") == 0
+    report = parse_report(capsys.readouterr().out)
+    assert (report["h_star_m"], report["theta_star_rad"]) == ("100.0", "0.45")
+    assert run(path, tmp_path, "plan", "--mode", "mc") == 0
+    report = parse_report(capsys.readouterr().out)
+    assert (report["h_m"], report["theta_rad"]) == ("100.0", "0.45")
+
+
+def test_csv_rows_match_per_row_join(tmp_path):
+    columns = [list(range(-2, 3)), [-0.0, 1e-05, 1e+16, 5e-324, 0.1],
+               [5e-324, -0.0, 2**53 + 1, 1e+16, -7]]
+    cli._write_csv(tmp_path / "t.csv", ("a", "b", "c"), columns)
+    rows = [",".join(map(repr, row)) for row in zip(*columns)]
+    assert (tmp_path / "t.csv").read_bytes() == ("\r\n".join(["a,b,c", *rows]) + "\r\n").encode()
 
 
 def test_sweep_rows_and_header(cfg_path, tmp_path, capsys):

@@ -152,7 +152,7 @@ SIDES_R = (0.3, 1.0, 1.4, 2.0, 3.7, 6.0, 11.2)
 def lattice_plans():
     for w, h in itertools.product(SIDES_R, SIDES_R):
         centers = layout_centers(w * 10.0, h * 10.0, 10.0)
-        yield w, h, centers, plan_tour(centers, (0.0, 0.0), 1.0, pitch=SQRT3 * 10.0)
+        yield w, h, centers, plan_tour(centers, (0.0, 0.0), 1.0, ordered=True)
 
 
 def test_rectangle_grid_has_both_column_parities():
@@ -185,7 +185,7 @@ def test_lattice_plan_reaches_bound():
     # one even and one odd column count
     for w in (1000.0, 1100.0):
         centers = layout_centers(w, 800.0, 100.0)
-        plan = plan_tour(centers, (0.0, 0.0), 1.0, pitch=SQRT3 * 100.0)
+        plan = plan_tour(centers, (0.0, 0.0), 1.0, ordered=True)
         assert plan.tour_length_m == pytest.approx(len(centers) * SQRT3 * 100.0, rel=1e-12)
 
 
@@ -206,7 +206,7 @@ def test_lattice_tours_are_exact_by_construction(monkeypatch):
     kinds = set()
     for w, h in RECTANGLES:
         centers = layout_centers(w, h, 10.0)
-        plan = plan_tour(centers, (0.0, 0.0), 1.0, pitch=pitch)
+        plan = plan_tour(centers, (0.0, 0.0), 1.0, ordered=True)
         n = len(centers)
         columns = len(np.unique(centers[:, 0]))
         levels = len(np.unique(np.round(centers[:, 1] / (pitch / 2))))
@@ -225,13 +225,13 @@ def test_large_lattices_tour_without_two_opt(monkeypatch):
     pitch = SQRT3 * 10.0
     strip = layout_centers(29991.0, 3.0, 10.0)  # two y values
     assert (len(strip), len(np.unique(strip[:, 1]))) == (2001, 2)
-    plan = plan_tour(strip, (0.0, 0.0), 1.0, pitch=pitch)
+    plan = plan_tour(strip, (0.0, 0.0), 1.0, ordered=True)
     # out along the 1,001 even columns, x = 0 to 30,000 m, back along the
     # 1,000 odd ones, x = 29,985 to 15 m, and one pitch at each turn
     assert plan.tour_length_m == pytest.approx(30000.0 + 29970.0 + 2 * pitch, rel=1e-12)
     lattice = layout_centers(5100.0, 5100.0, 10.0)
     assert len(lattice) > 100_000
-    plan = plan_tour(lattice, (0.0, 0.0), 1.0, pitch=pitch)
+    plan = plan_tour(lattice, (0.0, 0.0), 1.0, ordered=True)
     assert plan.tour_length_m == pytest.approx(len(lattice) * pitch, rel=1e-12)
 
 

@@ -1,32 +1,92 @@
-"""Golden-section search and the per-mode deployment optimizers."""
+"""Nested array scans for the beamwidth and the per-mode deployment
+optimizers."""
 import importlib
+import math
+import time
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from uavcell import optimize, optimize_2d_grid, rate_value, search_1d
+from uavcell import DeploymentVars, optimize, optimize_2d_grid, rate_value, search_1d
+from uavcell.optimize import SCAN_POINTS
+
+
+def quadratic(x):
+    return -(x - 0.3)**2
 
 
 def test_search_1d_quadratic_peak():
-    x, fx, trace = search_1d(lambda x: -(x - 0.3)**2, 0.0, 1.0, tol=1e-6)
-    assert x == pytest.approx(0.3, abs=1e-5)
+    x, fx, (xs, fs) = search_1d(quadratic, 0.0, 1.0, tol=1e-6)
+    assert x == pytest.approx(0.3, abs=1e-6)
     assert fx == pytest.approx(0.0, abs=1e-9)
-    assert len(trace) > 0
-    assert fx == max(v for _, v in trace)
+    assert len(xs) == len(fs) > 0
+    assert fx == fs.max()
+    assert x == xs[fs == fx].min()
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-9])
+def test_search_1d_lands_within_tol(tol):
+    x, _, _ = search_1d(quadratic, 0.0, 1.0, tol=tol)
+    assert abs(x - 0.3) <= tol
 
 
 def test_search_1d_boundary_maximum():
+    # every scan is np.linspace, whose endpoints are exactly the bracket's
     x, fx, _ = search_1d(np.sin, 0.0, 1.0)  # increasing on [0, 1]
-    assert x == pytest.approx(1.0, abs=1e-3)
+    assert (x, fx) == (1.0, math.sin(1.0))
     x, _, _ = search_1d(np.cos, 0.0, 1.0)  # decreasing on [0, 1]
-    assert x == pytest.approx(0.0, abs=1e-3)
+    assert x == 0.0
 
 
 def test_search_1d_degenerate_interval():
-    x, fx, trace = search_1d(lambda x: 5.0, 2.0, 2.0)
+    x, fx, (xs, fs) = search_1d(lambda x: 5.0, 2.0, 2.0)
     assert (x, fx) == (2.0, 5.0)
-    assert trace == [(2.0, 5.0)]
+    assert (xs.tolist(), fs.tolist()) == ([2.0], [5.0])
+
+
+def test_search_1d_ties_toward_smaller_x():
+    x, _, _ = search_1d(np.zeros_like, 0.25, 1.0)
+    assert x == 0.25
+    x, fx, (xs, fs) = search_1d(lambda x: (x >= 0.3).astype(float), 0.0, 1.0)
+    assert fx == 1.0
+    assert x == xs[fs == 1.0].min()
+    assert 0.3 <= x <= 0.3 + 1e-4
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-9])
+def test_search_1d_scans_arrays_only(tol):
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return quadratic(x)
+
+    search_1d(f, 0.0, 1.0, tol=tol)
+    assert all(isinstance(x, np.ndarray) and x.shape == (SCAN_POINTS,) for x in calls)
+    # each interior rescan shrinks the bracket by 256 / 2 = 128
+    assert len(calls) == math.ceil(math.log(1.0 / tol, 128))
+
+
+@pytest.mark.parametrize("tol", [1e-16, 1e-300])
+def test_search_1d_stops_at_float_spacing(tol):
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        assert len(calls) <= 20, "rescans no longer shrink the bracket"
+        return quadratic(x)
+
+    t0 = time.perf_counter()
+    x, _, _ = search_1d(f, 0.0, 1.0, tol=tol)
+    assert time.perf_counter() - t0 < 1.0
+    assert x == pytest.approx(0.3, abs=1e-15)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_search_1d_rejects_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol"):
+        search_1d(quadratic, 0.0, 1.0, tol=tol)
 
 
 def test_search_1d_survives_multimodal_wiggle():
@@ -68,7 +128,22 @@ def test_optimize_mac_beamwidth(params, box):
 
 def test_optimizer_never_beats_its_own_trace(params, box):
     res = optimize("mac", params, box)
-    assert res.objective_bps_hz == max(v for _, _, v in res.trace)
+    hs, ts, vs = res.trace
+    assert len(hs) == len(ts) == len(vs) == 2 * SCAN_POINTS
+    assert (hs == res.h_star_m).all()
+    assert res.objective_bps_hz == vs.max()
+    assert res.theta_star_rad == ts[vs == vs.max()].min()
+
+
+def test_optimize_corner_optimum_is_exact(params):
+    # mc rises in beamwidth up to its peak near 1.4 rad. On [0.03, 0.45],
+    # 0.03 + (0.45 - 0.03) is one ulp above 0.45: a grid that does not pin
+    # its last point would report a theta outside the box
+    box = DeploymentVars(altitude_m=50.0, half_beamwidth_rad=0.03, h_min_m=50.0,
+                         h_max_m=100.0, theta_min_rad=0.03, theta_max_rad=0.45)
+    res = optimize("mc", params, box)
+    assert (res.h_star_m, res.theta_star_rad) == (100.0, 0.45)
+    assert box.at(altitude_m=res.h_star_m, half_beamwidth_rad=res.theta_star_rad)
 
 
 def test_grid_search_agrees_with_rules(params, box):
@@ -97,7 +172,8 @@ def test_grid_search_ties_toward_smaller_h_then_theta(params, box, monkeypatch):
     monkeypatch.setattr(importlib.import_module("uavcell.optimize"), "rate_value", plateau)
     res = optimize_2d_grid(params, box, "bc", n=n)
     assert (res.h_star_m, res.theta_star_rad, res.objective_bps_hz) == (hs[2], ts[3], 1.0)
-    assert [(h, t) for h, t, _ in res.trace] == [(h, t) for h in hs for t in ts]
+    trace_h, trace_t, _ = res.trace
+    assert list(zip(trace_h, trace_t)) == [(h, t) for h in hs for t in ts]
 
 
 def test_unknown_mode_rejected(params, box):

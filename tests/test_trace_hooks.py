@@ -137,3 +137,24 @@ def test_plan_spans_count_cells(tmp_path):
         assert [recorder.count[i] for i in index] == [n_cells], name
     tour_s = spans.Analysis(recorder).per_pass_median("mission.plan_tour")
     assert math.isfinite(tour_s) and tour_s > 0.0
+
+
+def test_optimize_records_two_rate_scans(tmp_path):
+    """optimize.evals counts the rate_value spans under each optimize span:
+    the nested beamwidth search makes two array calls at the default tol."""
+    spans = _load_spans()
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(CONFIG))
+    recorder = spans.Recorder()
+    recorder.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["--config", str(config), "--out", str(tmp_path),
+                             "optimize", "--mode", "mac"]) == 0
+    finally:
+        recorder.uninstall()
+    name = np.array(recorder.name)
+    (opt,) = np.flatnonzero(name == recorder.names.index("optimize.optimize"))
+    rates = name == recorder.names.index("rates.rate_value.mac")
+    assert np.count_nonzero(rates & (np.array(recorder.parent) == opt)) == 2
+    assert spans.Analysis(recorder).children_per("optimize.optimize", "rates.rate_value") == 2.0
