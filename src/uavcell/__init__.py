@@ -15,8 +15,7 @@ from .geometry import (DISK, HEXAGON, CellLayout, GtRealization, coverage_radius
 from .rates import (BC, MAC, MC, MODES, McMission, cell_edge_rate_mc, mission_time_mc,
                     per_gt_rate, rate_value)
 from .optimize import OptResult, optimize, optimize_2d_grid, search_1d
-from .montecarlo import (MissionSimResult, SimResult, SimSpec, simulate_mc_mission,
-                         simulate_rate)
+from .montecarlo import SimResult, SimSpec, simulate_rate
 from .mission import MissionPlan, assemble_plan, layout_centers, plan_tour
 
 __version__ = "0.1.0"
@@ -30,6 +29,6 @@ __all__ = [
     "MC", "BC", "MAC", "MODES", "McMission", "rate_value", "per_gt_rate",
     "cell_edge_rate_mc", "mission_time_mc",
     "OptResult", "search_1d", "optimize", "optimize_2d_grid",
-    "SimSpec", "SimResult", "MissionSimResult", "simulate_rate", "simulate_mc_mission",
+    "SimSpec", "SimResult", "simulate_rate",
     "MissionPlan", "layout_centers", "plan_tour", "assemble_plan",
 ]

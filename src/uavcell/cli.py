@@ -100,15 +100,26 @@ def _report(pairs):
         print(f"{key}={_fmt(value)}")
 
 
+def _distinct_reprs(values: np.ndarray):
+    """The repr of each value of a float64 array, lazily: each distinct bit
+    pattern is formatted once and its text looked up per row, since lattice
+    coordinates repeat down a plan. Keyed on the bits, not on ==, so 0.0 and
+    -0.0 keep their own text."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    return iter(texts[inverse])
+
+
 def _write_csv(path: Path, header, columns, seed=None):
-    # csv module dialect, \r\n line ends. Columns hold Python numbers (arrays
-    # go through .tolist()): the repr of a numpy scalar is np.float64(...)
-    row_fmt = ",".join(["{!r}"] * len(columns))
-    lines = [",".join(header), *map(row_fmt.format, *columns)]
+    # csv module dialect, \r\n line ends. Columns hold each cell's text, as
+    # the repr of a Python number (arrays go through .tolist() or
+    # _distinct_reprs): the repr of a numpy scalar is np.float64(...)
+    rows = map(",".join, zip(*columns))
     with open(path, "w", newline="") as fh:
         if seed is not None:
             fh.write(f"# seed={seed}\n")
-        fh.write("\r\n".join(lines) + "\r\n")
+        fh.write("\r\n".join([",".join(header), *rows]))
+        fh.write("\r\n")
 
 
 def _parse_range(text: str):
@@ -144,8 +155,10 @@ def cmd_optimize(cfg: Config, args, out_dir: Path) -> int:
     ])
     if args.csv:
         path = out_dir / f"optimize_{result.mode}_trace.csv"
+        h, theta, value = result.trace
         _write_csv(path, ("h_m", "theta_rad", "value_bps_hz"),
-                   [column.tolist() for column in result.trace])
+                   [_distinct_reprs(h), map(repr, theta.tolist()),
+                    map(repr, value.tolist())])
         print(f"trace_csv={path}")
     return EXIT_OK
 
@@ -169,13 +182,14 @@ def cmd_sweep(cfg: Config, args, out_dir: Path, seed: int) -> int:
 
     values = np.arange(n) * ((hi - lo) / (n - 1)) + lo
     h, theta = (fixed, values) if args.var == "theta" else (values, fixed)
-    columns = [values.tolist(), rate_value(args.mode, params, h, theta).tolist()]
+    columns = [map(repr, values.tolist()),
+               map(repr, rate_value(args.mode, params, h, theta).tolist())]
     if args.with_sim:
         spec = SimSpec(mode=args.mode, realizations=args.realizations,
                        seed=seed, count_model=args.count_model)
         points = zip(np.broadcast_to(h, n).tolist(), np.broadcast_to(theta, n).tolist())
-        columns.append([simulate_rate(params, DeploymentVars.point(*point), spec)
-                        .empirical_mean_bps_hz for point in points])
+        columns.append(map(repr, [simulate_rate(params, DeploymentVars.point(*point), spec)
+                                  .empirical_mean_bps_hz for point in points]))
 
     path = out_dir / f"sweep_{args.mode}_{args.var}.csv"
     if args.with_sim:
@@ -217,8 +231,8 @@ def cmd_simulate(cfg: Config, args, out_dir: Path, seed: int) -> int:
     ])
     if args.csv:
         path = out_dir / f"simulate_{result.mode}.csv"
-        columns = [range(args.realizations), result.gt_counts.tolist(),
-                   result.per_realization.tolist()]
+        columns = [map(repr, range(args.realizations)), map(repr, result.gt_counts.tolist()),
+                   map(repr, result.per_realization.tolist())]
         _write_csv(path, ("realization_index", "gt_count", "value_bps_per_hz"), columns,
                    seed=seed)
         print(f"realizations_csv={path}")
@@ -265,8 +279,8 @@ def cmd_plan(cfg: Config, args, out_dir: Path) -> int:
     times[0::2] = plan.hover_times_s
     times[1::2] = np.hypot(*np.diff(plan.centers, axis=0).T) / cfg.uav_speed_mps
     cumulative = np.cumsum(times)[0::2]
-    columns = [range(len(plan.centers)), *plan.centers.T.tolist(),
-               plan.hover_times_s.tolist(), cumulative.tolist()]
+    columns = [map(repr, range(len(plan.centers))), *map(_distinct_reprs, plan.centers.T),
+               _distinct_reprs(plan.hover_times_s), map(repr, cumulative.tolist())]
     path = out_dir / f"plan_{args.mode}.csv"
     _write_csv(path, ("cell_index", "x_m", "y_m", "hover_s", "cumulative_s"), columns)
 
@@ -279,7 +293,9 @@ def cmd_plan(cfg: Config, args, out_dir: Path) -> int:
         ("hover_total_s", hover_total),
         ("fly_time_s", plan.fly_time_s),
         ("completion_time_s", plan.completion_time_s),
-        ("hover_dominance", plan.hover_dominance),
+        # a one-cell plan does not fly, so hover/fly has no value
+        ("hover_dominance", "n/a" if math.isinf(plan.hover_dominance)
+         else plan.hover_dominance),
         ("plan_csv", path),
     ])
     return EXIT_OK

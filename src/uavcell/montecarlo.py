@@ -20,8 +20,9 @@ import numpy as np
 from .geometry import (DISK, HEXAGON, SQRT3, GtRealization, coverage_radius, make_layout,
                        sample_gts)
 from .params import DeploymentVars, SystemParams, derived_constants
-from .rates import (BC, MAC, MC, MODES, LN2, McMission, cell_edge_rate_mc,
-                    mission_time_mc, rate_value)
+# cell_edge_rate_mc is unused here, but perfbench/spans.py wraps it as an
+# attribute of this module
+from .rates import BC, MAC, MC, MODES, LN2, cell_edge_rate_mc, rate_value
 
 _REGION_FOR_MODE = {MC: HEXAGON, BC: DISK, MAC: DISK}
 
@@ -131,48 +132,5 @@ def simulate_rate(params: SystemParams, vars: DeploymentVars,
         relative_gap=abs(mean - analytic) / analytic,
         per_realization=values,
         gt_counts=counts,
-        seed=spec.seed,
-    )
-
-
-@dataclass(frozen=True)
-class MissionSimResult:
-    total_time_s: float
-    per_cell_time_s: float
-    n_cells: float
-    edge_rate_bps_hz: float
-    worst_gt_rate_bps_hz: float
-    seed: int
-
-
-def simulate_mc_mission(params: SystemParams, vars: DeploymentVars,
-                        mission: McMission, area_m2: float,
-                        spec: SimSpec) -> MissionSimResult:
-    """Fly-hover-multicast mission over area_m2, one hexagonal cell at a time.
-
-    The per-cell hover time is keyed on the analytic cell-edge rate (every
-    terminal in the cell decodes at least that fast), so the total is
-    deterministic and equals mission_time_mc. Sampled realizations feed the
-    worst-terminal diagnostic only.
-    """
-    if spec.mode != MC:
-        raise ValueError(f"mission simulation is a multicast operation, got mode {spec.mode!r}")
-    layout = make_layout(params, vars, total_area_m2=area_m2)
-    total = mission_time_mc(params, vars,
-                            McMission(mission.file_size_bits, total_gts=None), area_m2)
-    edge_rate = cell_edge_rate_mc(params, vars)
-    real = sample_gts(layout, spec.region, spec.seed, params.density_per_m2,
-                      count_model=spec.count_model, realizations=spec.realizations)
-    worst = math.inf
-    if len(real.r2):
-        d2 = vars.altitude_m**2 + float(real.r2.max())
-        snr = derived_constants(params).alpha / (vars.half_beamwidth_rad**2 * d2)
-        worst = math.log1p(snr) / LN2
-    return MissionSimResult(
-        total_time_s=total,
-        per_cell_time_s=total / layout.n_cells,
-        n_cells=layout.n_cells,
-        edge_rate_bps_hz=edge_rate,
-        worst_gt_rate_bps_hz=worst,
         seed=spec.seed,
     )

@@ -8,10 +8,12 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from uavcell import cli
 from uavcell.optimize import SCAN_POINTS
+from uavcell.rates import MODES
 
 BASE = {
     "beta0": 1.42e-4,
@@ -102,11 +104,70 @@ def test_corner_optimum_plans(tmp_path, capsys):
 
 
 def test_csv_rows_match_per_row_join(tmp_path):
+    # the last two columns repeat values, both zeros among them, and go
+    # through the distinct-value formatter as the strided columns of an
+    # (n, 2) array, like plan's x and y
     columns = [list(range(-2, 3)), [-0.0, 1e-05, 1e+16, 5e-324, 0.1],
-               [5e-324, -0.0, 2**53 + 1, 1e+16, -7]]
-    cli._write_csv(tmp_path / "t.csv", ("a", "b", "c"), columns)
+               [5e-324, -0.0, 2**53 + 1, 1e+16, -7],
+               [0.0, -0.0, 0.1, -0.0, 0.0], [5e-324, 1e+16, 5e-324, 0.1, 1e+16]]
+    pairs = np.array(list(zip(*columns[3:])))
+    texts = [*(map(repr, column) for column in columns[:3]),
+             *map(cli._distinct_reprs, pairs.T)]
+    cli._write_csv(tmp_path / "t.csv", ("a", "b", "c", "d", "e"), texts)
     rows = [",".join(map(repr, row)) for row in zip(*columns)]
-    assert (tmp_path / "t.csv").read_bytes() == ("\r\n".join(["a,b,c", *rows]) + "\r\n").encode()
+    assert ((tmp_path / "t.csv").read_bytes()
+            == ("\r\n".join(["a,b,c,d,e", *rows]) + "\r\n").encode())
+
+
+def _pinned(tmp_path, width, height):
+    # a one-point box fixes every mode's cell radius at 100 * tan(0.5) m
+    path = tmp_path / f"pinned_{width}x{height}.json"
+    path.write_text(json.dumps(dict(
+        BASE, h_min_m=100.0, h_max_m=100.0, theta_min_rad=0.5, theta_max_rad=0.5,
+        area_width_m=width, area_height_m=height)))
+    return path
+
+
+PLAN_LAYOUTS = {"serpentine": (500.0, 400.0), "strip": (900.0, 10.0),
+                "column": (10.0, 900.0)}
+
+
+@pytest.mark.parametrize("layout", PLAN_LAYOUTS)
+@pytest.mark.parametrize("mode", MODES)
+def test_plan_csv_matches_per_row_format(tmp_path, capsys, monkeypatch, mode, layout):
+    plans = []
+    assemble = cli.assemble_plan
+
+    def capture(*args):
+        plans.append(assemble(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(cli, "assemble_plan", capture)
+    assert run(_pinned(tmp_path, *PLAN_LAYOUTS[layout]), tmp_path, "plan", "--mode", mode) == 0
+    (plan,) = plans
+    n_x, n_y = (len(set(column.tolist())) for column in plan.centers.T)
+    assert {"serpentine": n_x >= 2 and n_y >= 4, "strip": n_x >= 2 and n_y <= 3,
+            "column": n_x == 1 and n_y >= 2}[layout], (n_x, n_y)
+    times = np.empty(2 * len(plan.centers) - 1)
+    times[0::2] = plan.hover_times_s
+    times[1::2] = np.hypot(*np.diff(plan.centers, axis=0).T) / BASE["uav_speed_mps"]
+    row_fmt = ",".join(["{!r}"] * 5)
+    rows = map(row_fmt.format, range(len(plan.centers)), *plan.centers.T.tolist(),
+               plan.hover_times_s.tolist(), np.cumsum(times)[0::2].tolist())
+    expected = "\r\n".join(["cell_index,x_m,y_m,hover_s,cumulative_s", *rows]) + "\r\n"
+    assert (tmp_path / f"plan_{mode}.csv").read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_single_cell_plan_reports_no_dominance(tmp_path, capsys, mode):
+    # one cell means no flight, so hover/fly is undefined: n/a, as simulate
+    # reports an undefined stderr, never inf
+    assert run(_pinned(tmp_path, 10.0, 10.0), tmp_path, "plan", "--mode", mode) == 0
+    report = parse_report(capsys.readouterr().out)
+    assert (report["n_cells"], report["fly_time_s"]) == ("1", "0.0")
+    assert report.pop("hover_dominance") == "n/a"
+    for key in ("h_m", "theta_rad", "tour_length_m", "hover_total_s", "completion_time_s"):
+        assert math.isfinite(float(report[key])), key
 
 
 def test_sweep_rows_and_header(cfg_path, tmp_path, capsys):

@@ -4,9 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from uavcell import (MODES, DeploymentVars, McMission, SimSpec, cell_edge_rate_mc,
-                     coverage_radius, geometry, mission_time_mc, montecarlo,
-                     simulate_mc_mission, simulate_rate, snr_bc, snr_mac, snr_mc)
+from uavcell import (MODES, DeploymentVars, SimSpec, cell_edge_rate_mc, coverage_radius,
+                     geometry, montecarlo, simulate_rate, snr_bc, snr_mac, snr_mc)
 from uavcell.geometry import SQRT3
 
 
@@ -134,15 +133,3 @@ def test_stderr_shrinks_like_sqrt_n(params):
     large = simulate_rate(params, point, SimSpec(mode="bc", realizations=400, seed=5))
     ratio = small.empirical_stderr_bps_hz / large.empirical_stderr_bps_hz
     assert ratio == pytest.approx(2.0, rel=0.2)
-
-
-def test_mission_simulation_matches_analytic_time(params):
-    point = DeploymentVars.point(100.0, math.pi / 10)
-    area = 2.0e5
-    mission = McMission(5.0e7)
-    sim = simulate_mc_mission(params, point, mission, area,
-                              SimSpec(mode="mc", realizations=5, seed=4))
-    assert sim.total_time_s == mission_time_mc(params, point, mission, area)
-    assert sim.worst_gt_rate_bps_hz >= cell_edge_rate_mc(params, point) * (1 - 1e-12)
-    with pytest.raises(ValueError):
-        simulate_mc_mission(params, point, mission, area, SimSpec(mode="bc"))
