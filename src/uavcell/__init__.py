@@ -8,12 +8,11 @@ broadcast, and uplink multiple access, the optimizers over (H, theta), a
 Monte Carlo validator, and a fly-hover-and-communicate mission planner.
 """
 from .params import (G0_DEFAULT, DeploymentVars, DerivedConstants, SystemParams,
-                     dbm_to_watts, derived_constants, watts_to_dbm)
-from .channel import antenna_gain, channel_gain, snr_bc, snr_mac, snr_mc
+                     dbm_to_watts, derived_constants)
+from .channel import snr_mac, snr_mc
 from .geometry import (DISK, HEXAGON, CellLayout, GtRealization, coverage_radius,
-                       disk_contains, hex_contains, make_layout, sample_gts)
-from .rates import (BC, MAC, MC, MODES, McMission, cell_edge_rate_mc, mission_time_mc,
-                    per_gt_rate, rate_value)
+                       hex_contains, make_layout, sample_gts)
+from .rates import BC, MAC, MC, MODES, cell_edge_rate_mc, rate_value
 from .optimize import OptResult, optimize, optimize_2d_grid, search_1d
 from .montecarlo import SimResult, SimSpec, simulate_rate
 from .mission import MissionPlan, assemble_plan, layout_centers, plan_tour
@@ -22,12 +21,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "G0_DEFAULT", "SystemParams", "DeploymentVars", "DerivedConstants",
-    "derived_constants", "dbm_to_watts", "watts_to_dbm",
-    "antenna_gain", "channel_gain", "snr_mc", "snr_bc", "snr_mac",
+    "derived_constants", "dbm_to_watts", "snr_mc", "snr_mac",
     "HEXAGON", "DISK", "CellLayout", "GtRealization", "coverage_radius",
-    "make_layout", "hex_contains", "disk_contains", "sample_gts",
-    "MC", "BC", "MAC", "MODES", "McMission", "rate_value", "per_gt_rate",
-    "cell_edge_rate_mc", "mission_time_mc",
+    "make_layout", "hex_contains", "sample_gts",
+    "MC", "BC", "MAC", "MODES", "rate_value", "cell_edge_rate_mc",
     "OptResult", "search_1d", "optimize", "optimize_2d_grid",
     "SimSpec", "SimResult", "simulate_rate",
     "MissionPlan", "layout_centers", "plan_tour", "assemble_plan",

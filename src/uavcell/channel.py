@@ -1,4 +1,4 @@
-"""Antenna and line-of-sight channel model, plus per-mode receive SNR.
+"""Per-terminal receive SNR under the directional antenna and LoS channel.
 
 The UAV points a symmetric directional antenna straight down. A ground
 terminal at horizontal distance r from the cell center is inside the main
@@ -11,39 +11,10 @@ import math
 
 import numpy as np
 
-from .params import G0_DEFAULT, DeploymentVars, SystemParams, derived_constants
+from .params import DeploymentVars, SystemParams, derived_constants
 
 # relative slack when checking r against the coverage edge; boundary inclusive
 _EDGE_RTOL = 1e-12
-
-
-def antenna_gain(theta_az, psi_el, half_beamwidth: float,
-                 g0: float = G0_DEFAULT, side_gain: float = 0.0):
-    """Directional gain toward azimuth/elevation offsets (theta_az, psi_el).
-
-    Gain is g0/half_beamwidth^2 when both offsets are within the half-beamwidth
-    (boundary inclusive) and side_gain otherwise.
-    """
-    if not 0.0 < half_beamwidth < math.pi / 2:
-        raise ValueError(f"half_beamwidth must lie in (0, pi/2), got {half_beamwidth}")
-    theta_az = np.asarray(theta_az, dtype=float)
-    psi_el = np.asarray(psi_el, dtype=float)
-    inside = (np.abs(theta_az) <= half_beamwidth) & (np.abs(psi_el) <= half_beamwidth)
-    gain = np.where(inside, g0 / half_beamwidth**2, side_gain)
-    return gain if gain.ndim else float(gain)
-
-
-def channel_gain(r, altitude_m: float, beta0: float):
-    """LoS channel power gain beta0 / (H^2 + r^2)."""
-    if altitude_m <= 0.0:
-        raise ValueError(f"altitude must be > 0, got {altitude_m}")
-    if beta0 <= 0.0:
-        raise ValueError(f"beta0 must be > 0, got {beta0}")
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0.0):
-        raise ValueError("distance r must be >= 0")
-    gain = beta0 / (altitude_m**2 + r**2)
-    return gain if gain.ndim else float(gain)
 
 
 def _check_in_cell(r, vars: DeploymentVars):
@@ -69,15 +40,6 @@ def snr_mc(r, params: SystemParams, vars: DeploymentVars):
     h, theta = vars.altitude_m, vars.half_beamwidth_rad
     snr = alpha / (theta**2 * (h**2 + r**2))
     return snr if snr.ndim else float(snr)
-
-
-def snr_bc(r, params: SystemParams, vars: DeploymentVars):
-    """Broadcast (per-terminal FDMA) receive SNR.
-
-    Splitting power and bandwidth across the K' terminals cancels: each
-    terminal sees the same SNR as in multicast.
-    """
-    return snr_mc(r, params, vars)
 
 
 def snr_mac(r, params: SystemParams, vars: DeploymentVars):

@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import Config, ConfigError, load_config
-from .geometry import SQRT3, coverage_radius
-from .mission import assemble_plan
+from .geometry import coverage_radius  # unused; perfbench/spans.py wraps it here
+from .mission import PlanTooLarge, assemble_plan
 from .montecarlo import SimSpec, simulate_rate
 from .optimize import optimize
 from .params import DeploymentVars
@@ -29,12 +29,6 @@ from .rates import MC, MODES, rate_value
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_GAP = 3
-
-# plan refuses to tile the area into more cells than this. The lattice tour is
-# cheap at this size; the cap catches boxes whose optimum shrinks cells to a
-# few meters (bc flies low and narrow), where a plan of 10^5 hover stops points
-# at a wrong deployment box rather than at a mission
-MAX_PLAN_CELLS = 4096
 
 
 @functools.cache
@@ -138,6 +132,13 @@ def _parse_range(text: str):
     return lo, hi, n
 
 
+def _sim_spec(args, seed: int) -> SimSpec:
+    if args.realizations < 1:
+        raise ConfigError(f"--realizations: need at least 1, got {args.realizations}")
+    return SimSpec(mode=args.mode, realizations=args.realizations, seed=seed,
+                   count_model=args.count_model)
+
+
 def cmd_optimize(cfg: Config, args, out_dir: Path) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         raise ConfigError(f"--tol: must be finite and > 0, got {args.tol}")
@@ -185,8 +186,7 @@ def cmd_sweep(cfg: Config, args, out_dir: Path, seed: int) -> int:
     columns = [map(repr, values.tolist()),
                map(repr, rate_value(args.mode, params, h, theta).tolist())]
     if args.with_sim:
-        spec = SimSpec(mode=args.mode, realizations=args.realizations,
-                       seed=seed, count_model=args.count_model)
+        spec = _sim_spec(args, seed)
         points = zip(np.broadcast_to(h, n).tolist(), np.broadcast_to(theta, n).tolist())
         columns.append(map(repr, [simulate_rate(params, DeploymentVars.point(*point), spec)
                                   .empirical_mean_bps_hz for point in points]))
@@ -208,12 +208,13 @@ def cmd_sweep(cfg: Config, args, out_dir: Path, seed: int) -> int:
 
 
 def cmd_simulate(cfg: Config, args, out_dir: Path, seed: int) -> int:
+    if not (math.isfinite(args.gap_tol) and args.gap_tol >= 0.0):
+        raise ConfigError(f"--gap-tol: must be finite and >= 0, got {args.gap_tol}")
+    spec = _sim_spec(args, seed)
     params = cfg.system_params()
     altitude = args.altitude if args.altitude is not None else (cfg.h_min_m + cfg.h_max_m) / 2
     theta = args.theta if args.theta is not None else (cfg.theta_min_rad + cfg.theta_max_rad) / 2
     vars = cfg.deployment_box().at(altitude_m=altitude, half_beamwidth_rad=theta)
-    spec = SimSpec(mode=args.mode, realizations=args.realizations,
-                   seed=seed, count_model=args.count_model)
     result = simulate_rate(params, vars, spec)
     stderr = result.empirical_stderr_bps_hz
     _report([
@@ -249,36 +250,38 @@ def cmd_plan(cfg: Config, args, out_dir: Path) -> int:
                           "(area_width_m and area_height_m)")
     if cfg.uav_speed_mps is None:
         raise ConfigError("uav_speed_mps: required for plan")
-    if args.mode == MC:
-        if cfg.file_size_bits is None:
-            raise ConfigError("file_size_bits: required for plan --mode mc")
-        payload = cfg.file_size_bits
-    else:
-        if cfg.period_s is None:
-            raise ConfigError(f"period_s: required for plan --mode {args.mode}")
-        payload = cfg.period_s
+    payload_key = "file_size_bits" if args.mode == MC else "period_s"
+    payload = getattr(cfg, payload_key)
+    if payload is None:
+        raise ConfigError(f"{payload_key}: required for plan --mode {args.mode}")
 
     params = cfg.system_params()
     box = cfg.deployment_box()
     opt = optimize(args.mode, params, box)
     vars = box.at(altitude_m=opt.h_star_m, half_beamwidth_rad=opt.theta_star_rad)
-    rbar = coverage_radius(vars.altitude_m, vars.half_beamwidth_rad)
-    n_cells_low = cfg.area_width_m * cfg.area_height_m / (1.5 * SQRT3 * rbar**2)
-    if n_cells_low > MAX_PLAN_CELLS:
-        raise ConfigError(
-            f"area_width_m/area_height_m: plan would need about "
-            f"{int(n_cells_low)} cells of radius {rbar:.3g} m at the "
-            f"{args.mode} optimum (limit {MAX_PLAN_CELLS}); shrink the area "
-            "or widen the deployment box toward larger cells")
-    plan = assemble_plan(params, vars, args.mode, payload, cfg.uav_speed_mps,
-                         (cfg.area_width_m, cfg.area_height_m))
-
-    hover_total = float(plan.hover_times_s.sum())
-    # hover, fly, hover, ... summed in visiting order (cumsum adds in sequence)
-    times = np.empty(2 * len(plan.centers) - 1)
-    times[0::2] = plan.hover_times_s
-    times[1::2] = np.hypot(*np.diff(plan.centers, axis=0).T) / cfg.uav_speed_mps
-    cumulative = np.cumsum(times)[0::2]
+    # a time that overflows is reported below by its key, not by a numpy warning
+    with np.errstate(over="ignore"):
+        try:
+            plan = assemble_plan(params, vars, args.mode, payload, cfg.uav_speed_mps,
+                                 (cfg.area_width_m, cfg.area_height_m))
+        except PlanTooLarge as exc:
+            raise ConfigError(f"area_width_m/area_height_m: {exc} at the {args.mode} optimum;"
+                              " shrink the area or widen the box toward larger cells") from exc
+        hover_total = float(plan.hover_times_s.sum())
+        # hover, fly, hover, ... summed in visiting order (cumsum adds in sequence)
+        times = np.empty(2 * len(plan.centers) - 1)
+        times[0::2] = plan.hover_times_s
+        times[1::2] = np.hypot(*np.diff(plan.centers, axis=0).T) / cfg.uav_speed_mps
+        cumulative = np.cumsum(times)[0::2]
+    # the completion time bounds every other time, the cumulative column included;
+    # hover/fly needs a tour of positive length
+    if not math.isfinite(plan.fly_time_s):
+        raise ConfigError(f"uav_speed_mps: flying time is not finite at {cfg.uav_speed_mps}")
+    if not math.isfinite(plan.completion_time_s):
+        raise ConfigError(f"{payload_key}: mission time is not finite at {payload}")
+    if plan.tour_length_m > 0.0 and not math.isfinite(plan.hover_dominance):
+        raise ConfigError(f"{payload_key}/uav_speed_mps: hover/fly is not finite at "
+                          f"{payload} and {cfg.uav_speed_mps}")
     columns = [map(repr, range(len(plan.centers))), *map(_distinct_reprs, plan.centers.T),
                _distinct_reprs(plan.hover_times_s), map(repr, cumulative.tolist())]
     path = out_dir / f"plan_{args.mode}.csv"
@@ -294,8 +297,7 @@ def cmd_plan(cfg: Config, args, out_dir: Path) -> int:
         ("fly_time_s", plan.fly_time_s),
         ("completion_time_s", plan.completion_time_s),
         # a one-cell plan does not fly, so hover/fly has no value
-        ("hover_dominance", "n/a" if math.isinf(plan.hover_dominance)
-         else plan.hover_dominance),
+        ("hover_dominance", "n/a" if plan.tour_length_m == 0.0 else plan.hover_dominance),
         ("plan_csv", path),
     ])
     return EXIT_OK

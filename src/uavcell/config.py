@@ -2,14 +2,13 @@
 
 One JSON object, lowercase snake_case keys, SI units except the dBm power
 fields. Angles are radians; theta_min_deg / theta_max_deg are accepted as
-variants and converted at load. dump_config writes the canonical radian keys,
-so load -> dump -> load is the identity.
+variants and converted at load.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 from .params import (DeploymentVars, DerivedConstantError, SystemParams, dbm_to_watts,
@@ -32,7 +31,6 @@ class Config:
     h_max_m: float
     theta_min_rad: float
     theta_max_rad: float
-    area_m2: float | None = None
     area_width_m: float | None = None
     area_height_m: float | None = None
     file_size_bits: float | None = None
@@ -57,18 +55,11 @@ class Config:
             h_min_m=self.h_min_m, h_max_m=self.h_max_m,
             theta_min_rad=self.theta_min_rad, theta_max_rad=self.theta_max_rad)
 
-    def total_area_m2(self) -> float | None:
-        if self.area_m2 is not None:
-            return self.area_m2
-        if self.area_width_m is not None and self.area_height_m is not None:
-            return self.area_width_m * self.area_height_m
-        return None
-
 
 _DBM = ("p_downlink_dbm", "p_uplink_dbm", "noise_psd_dbm_hz")
 _REQUIRED = ("beta0", "bandwidth_hz", *_DBM, "density_per_m2", "h_min_m", "h_max_m")
-_OPTIONAL_POSITIVE = ("area_m2", "area_width_m", "area_height_m",
-                      "file_size_bits", "period_s", "uav_speed_mps")
+_OPTIONAL_POSITIVE = ("area_width_m", "area_height_m", "file_size_bits", "period_s",
+                      "uav_speed_mps")
 # the power key of each derived SNR scale; both also scale with 1/noise
 _SNR_SCALE_KEYS = {"alpha": "p_downlink_dbm", "eta": "p_uplink_dbm"}
 _KNOWN = set(_REQUIRED) | set(_OPTIONAL_POSITIVE) | {
@@ -152,6 +143,10 @@ def _validate(cfg: Config):
         if not 0.0 < watts < math.inf:
             raise ConfigError(f"{key}: {dbm} dBm is {watts} W, not a positive "
                               "finite power")
+    # a tiny noise PSD times a tiny bandwidth underflows to 0 W
+    if dbm_to_watts(cfg.noise_psd_dbm_hz) * cfg.bandwidth_hz == 0.0:
+        raise ConfigError(f"bandwidth_hz/noise_psd_dbm_hz: the noise power is 0 W (bandwidth_hz="
+                          f"{cfg.bandwidth_hz}, noise_psd_dbm_hz={cfg.noise_psd_dbm_hz})")
     try:
         derived_constants(cfg.system_params())
     except DerivedConstantError as exc:
@@ -168,8 +163,3 @@ def _validate(cfg: Config):
                           f"{cfg.theta_min_rad} > {cfg.theta_max_rad}")
     if not cfg.theta_max_rad < math.pi / 2:
         raise ConfigError(f"theta_max_rad: must be < pi/2, got {cfg.theta_max_rad}")
-
-
-def dump_config(cfg: Config, path):
-    data = {key: value for key, value in asdict(cfg).items() if value is not None}
-    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")

@@ -32,11 +32,10 @@ def coverage_radius(altitude_m: float, half_beamwidth_rad: float) -> float:
 
 @dataclass(frozen=True)
 class CellLayout:
-    """Derived geometry of one cell and its place in a larger service area.
+    """Derived geometry of one cell: its radius, areas and mean terminal counts.
 
     mean_gts_hex / mean_gts_disk are the expected terminal counts K_s and K_s'
-    in the hexagonal cell and the full coverage disk; n_cells is the
-    (real-valued) number of hexagonal cells tiling the total area.
+    in the hexagonal cell and the full coverage disk.
     """
 
     circumradius_m: float
@@ -44,17 +43,12 @@ class CellLayout:
     disk_area_m2: float
     mean_gts_hex: float
     mean_gts_disk: float
-    n_cells: float
 
 
-def make_layout(params: SystemParams, vars: DeploymentVars,
-                total_area_m2: float) -> CellLayout:
+def make_layout(params: SystemParams, vars: DeploymentVars) -> CellLayout:
     rbar = coverage_radius(vars.altitude_m, vars.half_beamwidth_rad)
     hex_area = 1.5 * SQRT3 * rbar**2
     disk_area = math.pi * rbar**2
-    if total_area_m2 < hex_area:
-        raise ValueError(
-            f"total area {total_area_m2} m^2 is smaller than one cell ({hex_area} m^2)")
     rho = params.density_per_m2
     return CellLayout(
         circumradius_m=rbar,
@@ -62,7 +56,6 @@ def make_layout(params: SystemParams, vars: DeploymentVars,
         disk_area_m2=disk_area,
         mean_gts_hex=rho * hex_area,
         mean_gts_disk=rho * disk_area,
-        n_cells=total_area_m2 / hex_area,
     )
 
 
@@ -77,14 +70,6 @@ def hex_contains(xy, circumradius: float):
     return inside if inside.ndim else bool(inside)
 
 
-def disk_contains(xy, radius: float):
-    if radius <= 0.0:
-        raise ValueError(f"radius must be > 0, got {radius}")
-    xy = np.asarray(xy, dtype=float)
-    inside = xy[..., 0]**2 + xy[..., 1]**2 <= radius**2
-    return inside if inside.ndim else bool(inside)
-
-
 @dataclass(frozen=True)
 class GtRealization:
     """Terminals of one or more realizations, relative to the cell center.
@@ -96,7 +81,6 @@ class GtRealization:
     positions: np.ndarray  # shape (n, 2), meters
     counts: np.ndarray     # terminals per realization
     r2: np.ndarray         # squared ground distance of each terminal, m^2
-    region: str
 
 
 def _uniform_in_region(rng: np.random.Generator, region: str, rbar: float, count: int):
@@ -117,8 +101,8 @@ def _uniform_in_region(rng: np.random.Generator, region: str, rbar: float, count
         x = rng.uniform(-rbar, rbar, size=n_prop)
         y = rng.uniform(-half_height, half_height, size=n_prop)
         r2 = x * x + y * y
-        # disk_contains's and hex_contains's tests; |y| <= half_height holds
-        # by the draw
+        # the disk's and hex_contains's tests; |y| <= half_height holds by
+        # the draw
         inside = (r2 <= rbar**2 if region == DISK
                   else SQRT3 * np.abs(x) + np.abs(y) <= SQRT3 * rbar)
         keep = np.flatnonzero(inside)[:needed]
@@ -158,5 +142,4 @@ def sample_gts(layout: CellLayout, region: str, seed, density: float,
     else:
         counts = np.full(realizations, int(round(mean)))
     x, y, r2 = _uniform_in_region(rng, region, layout.circumradius_m, int(counts.sum()))
-    return GtRealization(positions=np.column_stack([x, y]), counts=counts, r2=r2,
-                         region=region)
+    return GtRealization(positions=np.column_stack([x, y]), counts=counts, r2=r2)

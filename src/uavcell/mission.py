@@ -25,11 +25,15 @@ import numpy as np
 
 from .geometry import SQRT3, coverage_radius
 from .params import DeploymentVars, SystemParams
-from .rates import BC, MAC, MC, MODES, cell_edge_rate_mc
+from .rates import MC, MODES, cell_edge_rate_mc
 
 log = logging.getLogger(__name__)
 
 HOVER_DOMINANCE_MIN = 10.0
+
+# assemble_plan refuses a larger candidate lattice: a box whose optimum shrinks
+# cells to a few meters (bc flies low and narrow) is a wrong box, not a mission
+MAX_PLAN_CELLS = 4096
 
 # hexagon orientation: one vertex on the +x axis (matches geometry.hex_contains).
 # Cell pitch: columns every 1.5*R in x, rows every sqrt(3)*R in y, odd columns
@@ -38,6 +42,10 @@ HOVER_DOMINANCE_MIN = 10.0
 _AXES = ((1.0, 0.0), (0.0, 1.0),
          (SQRT3 / 2, 0.5), (SQRT3 / 2, -0.5))
 _HEX_EXTENT_FACTORS = (1.0, SQRT3 / 2, SQRT3 / 2, SQRT3 / 2)
+
+
+class PlanTooLarge(ValueError):
+    """The rectangle's candidate lattice holds more than MAX_PLAN_CELLS cells."""
 
 
 @dataclass(frozen=True)
@@ -55,8 +63,9 @@ class MissionPlan:
 def _hex_overlaps_rect(cx, cy, circumradius: float, width: float, height: float):
     """Positive-area overlap between the hexagons at (cx, cy) and
     [0, width] x [0, height], by separating-axis projections. cx and cy are
-    arrays (broadcast together); the result is a boolean array."""
-    eps = 1e-9 * circumradius
+    arrays (broadcast together); the result is a boolean array. The slack
+    scales with the shortest length, so a thin rectangle still overlaps."""
+    eps = 1e-9 * min(circumradius, width, height)
     overlaps = True
     for (ax, ay), factor in zip(_AXES, _HEX_EXTENT_FACTORS):
         center_proj = cx * ax + cy * ay
@@ -118,6 +127,12 @@ def _strip_tour(ids: np.ndarray, y_rank: np.ndarray, points: np.ndarray) -> list
     return min(tours, key=lambda tour: tour[0])[1]
 
 
+def _lattice_spans(width_m: float, height_m: float, rbar: float) -> tuple:
+    """Float spans of the candidate lattice: its columns j run from -1 to
+    floor(j_span) + 1, its rows k from -1 to floor(k_span) + 1."""
+    return (width_m + rbar) / (1.5 * rbar), (height_m + SQRT3 * rbar) / (SQRT3 * rbar)
+
+
 def layout_centers(width_m: float, height_m: float, circumradius_m: float) -> np.ndarray:
     """Cell centers of the hexagonal tessellation serving the rectangle, in
     closed-tour order.
@@ -133,8 +148,9 @@ def layout_centers(width_m: float, height_m: float, circumradius_m: float) -> np
     rbar = circumradius_m
     if rbar <= 0.0:
         raise ValueError(f"circumradius must be > 0, got {rbar}")
-    j_hi = math.floor((width_m + rbar) / (1.5 * rbar)) + 1
-    k_hi = math.floor((height_m + SQRT3 * rbar) / (SQRT3 * rbar)) + 1
+    j_span, k_span = _lattice_spans(width_m, height_m, rbar)
+    j_hi = math.floor(j_span) + 1
+    k_hi = math.floor(k_span) + 1
     j = np.arange(-1, j_hi + 1)[:, None]
     k = np.arange(-1, k_hi + 1)[None, :]
     cx = np.broadcast_to(1.5 * rbar * j, (j.size, k.size)).ravel()
@@ -249,7 +265,8 @@ def assemble_plan(params: SystemParams, vars: DeploymentVars, mode: str,
     """Full mission plan over a (width_m, height_m) service rectangle.
 
     per_cell_payload is the multicast file size in bits for mc, or the
-    per-cell service period in seconds for bc/mac.
+    per-cell service period in seconds for bc/mac. Raises PlanTooLarge
+    before allocating a candidate lattice of more than MAX_PLAN_CELLS cells.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -257,6 +274,11 @@ def assemble_plan(params: SystemParams, vars: DeploymentVars, mode: str,
         raise ValueError(f"per-cell payload must be > 0, got {per_cell_payload}")
     width_m, height_m = area
     rbar = coverage_radius(vars.altitude_m, vars.half_beamwidth_rad)
+    j_span, k_span = _lattice_spans(width_m, height_m, rbar)
+    # columns times rows, in floats: an infinite or nan span fails the test too
+    if not (np.floor(j_span) + 3) * (np.floor(k_span) + 3) <= MAX_PLAN_CELLS:
+        raise PlanTooLarge(f"a {width_m} m x {height_m} m area needs a lattice of more "
+                           f"than {MAX_PLAN_CELLS} cells of radius {rbar:.3g} m")
     centers = layout_centers(width_m, height_m, rbar)
     depot = (0.0, 0.0)  # rectangle corner nearest the origin
     base = plan_tour(centers, depot, v_max, ordered=True)

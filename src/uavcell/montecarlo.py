@@ -17,11 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (DISK, HEXAGON, SQRT3, GtRealization, coverage_radius, make_layout,
-                       sample_gts)
+# coverage_radius and cell_edge_rate_mc are unused; perfbench/spans.py wraps them here
+from .geometry import DISK, HEXAGON, GtRealization, coverage_radius, make_layout, sample_gts
 from .params import DeploymentVars, SystemParams, derived_constants
-# cell_edge_rate_mc is unused here, but perfbench/spans.py wraps it as an
-# attribute of this module
 from .rates import BC, MAC, MC, MODES, LN2, cell_edge_rate_mc, rate_value
 
 _REGION_FOR_MODE = {MC: HEXAGON, BC: DISK, MAC: DISK}
@@ -34,12 +32,12 @@ BLOCK_TERMINALS = 8192
 
 @dataclass(frozen=True)
 class SimSpec:
-    """What to simulate: mode, realization count, seeding, and cell shape."""
+    """What to simulate: mode, realization count, seeding and count model.
+    The cell shape is the mode's own: the hexagon for mc, the disk otherwise."""
 
     mode: str
     realizations: int = 100
     seed: int = 0
-    region: str | None = None  # defaults to the mode's natural region
     count_model: str = "poisson"
 
     def __post_init__(self):
@@ -49,12 +47,6 @@ class SimSpec:
             raise ValueError(f"need at least 1 realization, got {self.realizations}")
         if self.count_model not in ("poisson", "fixed"):
             raise ValueError(f"count_model must be 'poisson' or 'fixed', got {self.count_model!r}")
-        required = _REGION_FOR_MODE[self.mode]
-        if self.region is None:
-            object.__setattr__(self, "region", required)
-        elif self.region != required:
-            raise ValueError(
-                f"mode {self.mode!r} is defined on the {required}, got region {self.region!r}")
 
 
 @dataclass(frozen=True)
@@ -66,7 +58,6 @@ class SimResult:
     relative_gap: float
     per_realization: np.ndarray
     gt_counts: np.ndarray
-    seed: int
 
 
 def _block_values(mode: str, block: GtRealization, params: SystemParams,
@@ -105,15 +96,15 @@ def _block_values(mode: str, block: GtRealization, params: SystemParams,
 
 def simulate_rate(params: SystemParams, vars: DeploymentVars,
                   spec: SimSpec) -> SimResult:
-    rbar = coverage_radius(vars.altitude_m, vars.half_beamwidth_rad)
-    layout = make_layout(params, vars, total_area_m2=1.5 * SQRT3 * rbar**2)
-    expected = layout.mean_gts_hex if spec.region == HEXAGON else layout.mean_gts_disk
+    layout = make_layout(params, vars)
+    region = _REGION_FOR_MODE[spec.mode]
+    expected = layout.mean_gts_hex if region == HEXAGON else layout.mean_gts_disk
     # a cell expecting under one terminal still gets bounded blocks
     per_block = max(1, int(BLOCK_TERMINALS / max(expected, 1.0)))
     rng = np.random.default_rng(spec.seed)
     values, counts = [], []
     for start in range(0, spec.realizations, per_block):
-        block = sample_gts(layout, spec.region, rng, params.density_per_m2,
+        block = sample_gts(layout, region, rng, params.density_per_m2,
                            count_model=spec.count_model,
                            realizations=min(per_block, spec.realizations - start))
         counts.append(block.counts)
@@ -132,5 +123,4 @@ def simulate_rate(params: SystemParams, vars: DeploymentVars,
         relative_gap=abs(mean - analytic) / analytic,
         per_realization=values,
         gt_counts=counts,
-        seed=spec.seed,
     )

@@ -18,12 +18,6 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
-def watts_to_dbm(watts: float) -> float:
-    if watts <= 0.0:
-        raise ValueError(f"power must be positive to express in dBm, got {watts}")
-    return 10.0 * math.log10(watts) + 30.0
-
-
 @dataclass(frozen=True)
 class SystemParams:
     """Link-budget constants of the aerial cell.
@@ -35,8 +29,8 @@ class SystemParams:
         p_uplink_w: per-terminal transmit power for uplink.
         noise_psd_w_hz: noise power spectral density N0.
         density_per_m2: ground-terminal density rho.
-        g0: antenna boresight coefficient (gain = g0/theta^2 in the main lobe).
-        side_gain: gain outside the main lobe; the model assumes ~0.
+        g0: antenna boresight coefficient (gain = g0/theta^2 in the main lobe,
+            0 outside it).
     """
 
     beta0: float
@@ -46,7 +40,6 @@ class SystemParams:
     noise_psd_w_hz: float
     density_per_m2: float
     g0: float = G0_DEFAULT
-    side_gain: float = 0.0
 
     def __post_init__(self):
         for name in ("beta0", "bandwidth_hz", "p_downlink_w", "p_uplink_w",
@@ -54,8 +47,6 @@ class SystemParams:
             value = getattr(self, name)
             if not value > 0.0:
                 raise ValueError(f"SystemParams.{name} must be > 0, got {value}")
-        if self.side_gain < 0.0:
-            raise ValueError(f"SystemParams.side_gain must be >= 0, got {self.side_gain}")
 
 
 @dataclass(frozen=True)

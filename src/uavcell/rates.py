@@ -10,12 +10,10 @@ Shannon rates over one cell, normalized by bandwidth (bps/Hz):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import snr_bc, snr_mac, snr_mc
-from .geometry import SQRT3, coverage_radius
+from .geometry import SQRT3
 from .params import DeploymentVars, SystemParams, derived_constants
 
 LN2 = math.log(2.0)
@@ -115,53 +113,3 @@ def cell_edge_rate_mc(params: SystemParams, vars: DeploymentVars) -> float:
     decodes at least this fast.
     """
     return float(_edge_rate(params, vars.altitude_m, vars.half_beamwidth_rad))
-
-
-def per_gt_rate(mode: str, r, params: SystemParams, vars: DeploymentVars):
-    """Spectral efficiency of a single terminal at horizontal distance r.
-
-    mc uses the full bandwidth; bc/mac terminals hold a 1/K_s' share of it.
-    """
-    if mode == MC:
-        return _log2_1p(snr_mc(r, params, vars))
-    rbar = coverage_radius(vars.altitude_m, vars.half_beamwidth_rad)
-    ks_disk = params.density_per_m2 * math.pi * rbar**2
-    if mode == BC:
-        return _log2_1p(snr_bc(r, params, vars)) / ks_disk
-    if mode == MAC:
-        return _log2_1p(snr_mac(r, params, vars)) / ks_disk
-    raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-
-
-@dataclass(frozen=True)
-class McMission:
-    """A common file of file_size_bits to deliver to total_gts terminals.
-
-    total_gts may be omitted, in which case it is derived as density*area
-    when the mission time is evaluated.
-    """
-
-    file_size_bits: float
-    total_gts: float | None = None
-
-    def __post_init__(self):
-        if self.file_size_bits <= 0.0:
-            raise ValueError(f"file size must be > 0 bits, got {self.file_size_bits}")
-        if self.total_gts is not None and self.total_gts <= 0.0:
-            raise ValueError(f"terminal count must be > 0, got {self.total_gts}")
-
-
-def mission_time_mc(params: SystemParams, vars: DeploymentVars,
-                    mission: McMission, area_m2: float) -> float:
-    """Total hover time to multicast the file to every terminal in the area.
-
-    time = (K * file_bits / W) / mc rate, with K terminals spread over
-    n_cells = area/hex_area cells; equivalently n_cells * file_bits divided
-    by the cell-edge link rate.
-    """
-    if area_m2 <= 0.0:
-        raise ValueError(f"area must be > 0, got {area_m2}")
-    total = (mission.total_gts if mission.total_gts is not None
-             else params.density_per_m2 * area_m2)
-    value = rate_value(MC, params, vars.altitude_m, vars.half_beamwidth_rad)
-    return total * mission.file_size_bits / (params.bandwidth_hz * value)

@@ -125,8 +125,7 @@ def test_criterion_06_monte_carlo_agreement(params):
         points = ([(h, math.pi / 10) for h in (100.0, 300.0, 500.0)]
                   + [(500.0, t) for t in (0.2, 0.6, 1.0)])
         for mode, (h, theta) in itertools.product(("bc", "mac"), points):
-            spec = SimSpec(mode=mode, realizations=100, seed=7,
-                           region="disk", count_model="fixed")
+            spec = SimSpec(mode=mode, realizations=100, seed=7, count_model="fixed")
             res = simulate_rate(params, DeploymentVars.point(h, theta), spec)
             assert res.relative_gap <= 0.03, (mode, h, theta, res.relative_gap)
 

@@ -1,54 +1,11 @@
-"""Antenna pattern, propagation gain, and per-mode receive SNR."""
+"""Per-mode receive SNR at a terminal's distance from the cell center."""
 import math
 
-import numpy as np
 import pytest
-from hypothesis import given, strategies as st
-from numpy.testing import assert_allclose
 
-from uavcell import (DeploymentVars, antenna_gain, channel_gain,
-                     coverage_radius, snr_bc, snr_mac, snr_mc)
+from uavcell import DeploymentVars, coverage_radius, snr_mac, snr_mc
 
 POINT = DeploymentVars.point(100.0, math.pi / 10)
-
-
-def test_antenna_gain_main_lobe_and_side():
-    theta = 0.5
-    inside = antenna_gain(0.2, -0.3, theta)
-    assert inside == pytest.approx(2.2846306484003143 / 0.25, rel=1e-15)
-    # either offset outside the cone drops to the side level (0 by default)
-    assert antenna_gain(0.6, 0.0, theta) == 0.0
-    assert antenna_gain(0.0, -0.6, theta) == 0.0
-    assert antenna_gain(0.6, 0.0, theta, side_gain=1e-3) == 1e-3
-
-
-def test_antenna_gain_boundary_inclusive():
-    theta = 0.5
-    assert antenna_gain(theta, 0.0, theta) > 0.0
-    assert antenna_gain(-theta, theta, theta) > 0.0
-
-
-def test_antenna_gain_vectorized():
-    az = np.array([0.0, 0.2, 0.7])
-    el = np.zeros(3)
-    g = antenna_gain(az, el, 0.5)
-    assert g.shape == (3,)
-    assert g[2] == 0.0 and g[0] == g[1] > 0.0
-
-
-@given(st.floats(min_value=0.01, max_value=1.5))
-def test_main_lobe_gain_times_beamwidth_squared_is_constant(theta):
-    # G * theta^2 = g0 inside the lobe, the fixed-aperture power budget
-    assert antenna_gain(0.0, 0.0, theta) * theta**2 == pytest.approx(
-        2.2846306484003143, rel=1e-12)
-
-
-def test_channel_gain_inverse_square():
-    h = 200.0
-    assert channel_gain(0.0, h, 1.42e-4) == pytest.approx(1.42e-4 / h**2, rel=1e-15)
-    # moving to the cell edge at rbar halves nothing special, just 1/(H^2+r^2)
-    assert channel_gain(100.0, h, 1.42e-4) == pytest.approx(
-        1.42e-4 / (h**2 + 100.0**2), rel=1e-15)
 
 
 def test_snr_mc_frozen_values(params):
@@ -64,11 +21,6 @@ def test_snr_edge_equals_cos_squared_form(params):
     direct = snr_mc(rbar, params, POINT)
     via_cos = snr_mc(0.0, params, POINT) * math.cos(math.pi / 10)**2
     assert direct == pytest.approx(via_cos, rel=1e-12)
-
-
-def test_snr_bc_equals_snr_mc(params):
-    r = np.linspace(0.0, 30.0, 7)
-    assert_allclose(snr_bc(r, params, POINT), snr_mc(r, params, POINT), rtol=0)
 
 
 def test_snr_mac_altitude_invariance(params):

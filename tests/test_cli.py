@@ -267,6 +267,25 @@ def test_simulate_gap_exit(cfg_path, tmp_path, capsys):
     assert "exceeds tolerance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gap_tol", ["nan", "inf", "-inf", "-1"])
+def test_simulate_bad_gap_tol_named(cfg_path, tmp_path, capsys, gap_tol):
+    assert run(cfg_path, tmp_path, "simulate", "--mode", "mc", "--realizations", "5",
+               f"--gap-tol={gap_tol}") == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: --gap-tol: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--mode", "mc"),
+    ("sweep", "--mode", "bc", "--var", "theta", "--range", "0.3:0.6:3", "--with-sim"),
+])
+@pytest.mark.parametrize("realizations", ["0", "-3"])
+def test_too_few_realizations_named(cfg_path, tmp_path, capsys, argv, realizations):
+    assert run(cfg_path, tmp_path, *argv, f"--realizations={realizations}") == 2
+    assert capsys.readouterr().err.startswith("config error: --realizations: ")
+
+
 def test_plan_mc_summary_and_csv(cfg_path, tmp_path, capsys):
     assert run(cfg_path, tmp_path, "plan", "--mode", "mc") == 0
     report = parse_report(capsys.readouterr().out)
@@ -367,6 +386,37 @@ def test_plan_refuses_absurd_cell_count(cfg_path, tmp_path, capsys):
     assert run(cfg_path, tmp_path, "plan", "--mode", "bc") == 2
     err = capsys.readouterr().err
     assert "cells" in err and "config error" in err
+
+
+@pytest.mark.parametrize("width", [1e9, 1e12, 1.7976931348623157e308])
+def test_plan_cap_counts_the_lattice_of_a_strip(tmp_path, capsys, width):
+    # a 1 mm strip has almost no area, but its lattice holds a cell per
+    # 10.6 km of width at the mc optimum; the widest would overflow a count
+    path = tmp_path / "strip.json"
+    path.write_text(json.dumps(dict(BASE, area_width_m=width, area_height_m=1e-3)))
+    assert run(path, tmp_path, "plan", "--mode", "mc") == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: area_width_m/area_height_m: ")
+    assert captured.out == "" and not (tmp_path / "plan_mc.csv").exists()
+
+
+@pytest.mark.parametrize("overrides, mode, key", [
+    ({"period_s": 1e308}, "mac", "period_s"),  # 15 cells of 1e308 s
+    ({"file_size_bits": 1e308, "bandwidth_hz": 1e-10}, "mc", "file_size_bits"),
+    ({"uav_speed_mps": 1e-320}, "bc", "uav_speed_mps"),
+    ({"period_s": 1e200, "uav_speed_mps": 1e200}, "mac", "period_s/uav_speed_mps"),
+])
+def test_plan_non_finite_times_named(tmp_path, capsys, overrides, mode, key):
+    cfg = dict(BASE, **overrides)
+    if mode == "bc":  # cells large enough for the plan cap
+        cfg.update(h_min_m=300.0, theta_min_rad=0.5, theta_max_rad=1.2)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(cfg))
+    assert run(path, tmp_path, "plan", "--mode", mode) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {key}: ")
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == "" and not (tmp_path / f"plan_{mode}.csv").exists()
 
 
 def test_plan_requires_mission_keys(tmp_path, capsys):

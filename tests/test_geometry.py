@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from uavcell import (DISK, HEXAGON, DeploymentVars, coverage_radius,
-                     disk_contains, hex_contains, make_layout, sample_gts)
+from uavcell import (DISK, HEXAGON, DeploymentVars, coverage_radius, hex_contains,
+                     make_layout, sample_gts)
 
 SQRT3 = math.sqrt(3.0)
 POINT = DeploymentVars.point(100.0, math.pi / 10)
@@ -37,30 +37,25 @@ def test_hex_contains_vectorized():
     assert got.tolist() == [True, True, False, False]
 
 
-def test_disk_contains():
-    assert disk_contains((3.0, 4.0), 5.0)
-    assert not disk_contains((3.0, 4.0), 4.999)
-
-
 def test_layout_mean_counts(params):
     # rbar = 100 m cell: 129.9 terminals in the hexagon, 157.1 in the disk
     quarter = DeploymentVars.point(100.0, math.pi / 4)
-    layout = make_layout(params, quarter, total_area_m2=1.5 * SQRT3 * 100.0**2)
+    layout = make_layout(params, quarter)
     assert layout.circumradius_m == pytest.approx(100.0, rel=1e-14)
     assert layout.mean_gts_hex == pytest.approx(129.90381056766574, rel=1e-12)
     assert layout.mean_gts_disk == pytest.approx(157.0796326794896, rel=1e-12)
-    assert layout.n_cells == pytest.approx(1.0, rel=1e-12)
-
-
-def test_layout_rejects_subcell_area(params):
-    with pytest.raises(ValueError):
-        make_layout(params, POINT, total_area_m2=1.0)
 
 
 @pytest.fixture(scope="module")
 def one_cell(params):
-    rbar = coverage_radius(100.0, math.pi / 10)
-    return make_layout(params, POINT, total_area_m2=1.5 * SQRT3 * rbar**2)
+    return make_layout(params, POINT)
+
+
+def _contains(region, xy, circumradius):
+    """hex_contains for the hexagon; the disk's test inline, boundary inclusive."""
+    if region == HEXAGON:
+        return hex_contains(xy, circumradius)
+    return xy[..., 0]**2 + xy[..., 1]**2 <= circumradius**2
 
 
 def test_sampling_is_deterministic(params, one_cell):
@@ -119,8 +114,7 @@ def test_batched_sampling(params, one_cell, region, mean_r2, count_model):
     x, y = real.positions.T
     assert np.array_equal(real.r2, x**2 + y**2)
     R = one_cell.circumradius_m
-    contains = hex_contains if region == HEXAGON else disk_contains
-    assert contains(real.positions, R).all()
+    assert _contains(region, real.positions, R).all()
     # E[r^2] of a uniform point is R^2/2 on the disk and 5R^2/12 on the
     # hexagon, in either half of the realizations: 3 % is at least 6
     # standard errors of a half's 13k to 17k points
@@ -158,5 +152,4 @@ def test_rejection_sampling_tops_up_short_rounds(params, one_cell, region):
     mean = one_cell.mean_gts_hex if region == HEXAGON else one_cell.mean_gts_disk
     assert len(real.positions) == len(real.r2) == 3 * round(mean)
     assert np.array_equal(real.r2, real.positions[:, 0]**2 + real.positions[:, 1]**2)
-    contains = hex_contains if region == HEXAGON else disk_contains
-    assert contains(real.positions, one_cell.circumradius_m).all()
+    assert _contains(region, real.positions, one_cell.circumradius_m).all()

@@ -33,6 +33,14 @@ def test_layout_counts_bounded():
     assert len(centers) <= (w + 4 * R) * (h + 4 * R) / cell_area
 
 
+@pytest.mark.parametrize("w, h", [(1000.0, 1e-12), (1e-12, 1000.0), (1e-300, 1e-300)])
+def test_layout_covers_a_rectangle_thinner_than_the_slack(w, h):
+    # sides far below 1e-9 R still overlap the cells around them
+    centers = layout_centers(w, h, 100.0)
+    d = np.hypot(centers[:, 0] - w / 2, centers[:, 1] - h / 2)
+    assert len(centers) >= 1 and d.min() <= 100.0
+
+
 def test_layout_covers_rectangle():
     w, h, R = 1000.0, 800.0, 100.0
     centers = layout_centers(w, h, R)
@@ -134,6 +142,20 @@ def test_single_cell_plan_dominance_is_infinite(params):
     assert len(plan.centers) == 1
     assert plan.tour_length_m == 0.0
     assert math.isinf(plan.hover_dominance)
+
+
+@pytest.mark.parametrize("width, cells", [(153100.0, 4096), (153250.0, 4100)])
+def test_plan_cap_counts_candidate_columns_times_rows(params, width, cells):
+    # 100 m cells over a 100 m high rectangle: 4 candidate rows, and
+    # floor((width + 100) / 150) + 3 columns, 1,024 and 1,025 here
+    vars = DeploymentVars.point(100.0, math.pi / 4)
+    area = (width, 100.0)
+    if cells <= mission.MAX_PLAN_CELLS:
+        plan = assemble_plan(params, vars, "mac", 60.0, 20.0, area)
+        assert 0 < len(plan.centers) <= cells
+    else:
+        with pytest.raises(mission.PlanTooLarge, match="more than 4096 cells"):
+            assemble_plan(params, vars, "mac", 60.0, 20.0, area)
 
 
 def test_assemble_plan_validation(params):

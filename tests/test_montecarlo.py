@@ -5,16 +5,23 @@ import numpy as np
 import pytest
 
 from uavcell import (MODES, DeploymentVars, SimSpec, cell_edge_rate_mc, coverage_radius,
-                     geometry, montecarlo, simulate_rate, snr_bc, snr_mac, snr_mc)
+                     geometry, montecarlo, simulate_rate, snr_mac, snr_mc)
 from uavcell.geometry import SQRT3
 
 
-def test_simspec_region_defaults():
-    assert SimSpec(mode="mc").region == "hexagon"
-    assert SimSpec(mode="bc").region == "disk"
-    assert SimSpec(mode="mac").region == "disk"
-    with pytest.raises(ValueError):
-        SimSpec(mode="mc", region="disk")
+def test_simspec_region_defaults(params, monkeypatch):
+    # each mode samples its own region: the hexagon for mc, the disk otherwise
+    regions = []
+
+    def record(layout, region, *args, **kwargs):
+        regions.append(region)
+        return geometry.sample_gts(layout, region, *args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "sample_gts", record)
+    for mode in MODES:
+        simulate_rate(params, DeploymentVars.point(300.0, 0.4),
+                      SimSpec(mode=mode, realizations=2))
+    assert regions == ["hexagon", "disk", "disk"]
     with pytest.raises(ValueError):
         SimSpec(mode="bc", realizations=0)
 
@@ -75,8 +82,8 @@ def _loop_reference(mode, params, point, positions, counts):
             values.append(0.0)
         elif mode == "mc":
             values.append(n * math.log2(1.0 + snr_mc(float(r.max()), params, point)))
-        elif mode == "bc":
-            values.append(float(np.mean(np.log2(1.0 + snr_bc(r, params, point)))))
+        elif mode == "bc":  # the FDMA shares of power and band cancel: mc's SNR
+            values.append(float(np.mean(np.log2(1.0 + snr_mc(r, params, point)))))
         else:
             snr = snr_mac(r, params, point) * n / k_disk
             values.append(float(np.mean(np.log2(1.0 + snr))))

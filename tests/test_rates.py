@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from uavcell import (DeploymentVars, McMission, coverage_radius,
-                     derived_constants, mission_time_mc, per_gt_rate, rate_value)
+from uavcell import (DeploymentVars, cell_edge_rate_mc, coverage_radius, derived_constants,
+                     rate_value)
 from conftest import make_params
 
 LN2 = math.log(2.0)
@@ -122,44 +122,12 @@ def test_mc_rate_is_density_times_area_times_edge_rate(params):
     h, theta = 130.0, 0.6
     rbar = coverage_radius(h, theta)
     k_hex = params.density_per_m2 * 1.5 * math.sqrt(3.0) * rbar**2
-    edge = per_gt_rate("mc", rbar, params, DeploymentVars.point(h, theta))
+    edge = cell_edge_rate_mc(params, DeploymentVars.point(h, theta))
     assert rate_value("mc", params, h, theta) == pytest.approx(
-        k_hex * float(edge), rel=1e-12)
-
-
-def test_per_gt_rate_bandwidth_share(params):
-    # bc terminals split the band K_s' ways; mc terminals use all of it.
-    # rbar = 100 m here, so K_s' is the frozen 157.08
-    point = DeploymentVars.point(100.0, math.pi / 4)
-    r = 10.0
-    k_disk = 157.0796326794896
-    mc = float(per_gt_rate("mc", r, params, point))
-    bc = float(per_gt_rate("bc", r, params, point))
-    assert bc == pytest.approx(mc / k_disk, rel=1e-12)
+        k_hex * edge, rel=1e-12)
 
 
 def test_vanishing_power_kills_the_rate():
     starved = make_params(p_downlink_w=1e-300)
     assert rate_value("mc", starved, 100.0, 0.5) < 1e-250
     assert rate_value("bc", starved, 100.0, 0.5) < 1e-250
-
-
-def test_mission_time_scales_with_terminals(params):
-    point = DeploymentVars.point(100.0, math.pi / 10)
-    area = 8.0e5
-    base = mission_time_mc(params, point, McMission(1.0e8), area)
-    forced = mission_time_mc(params, point,
-                             McMission(1.0e8, total_gts=2 * params.density_per_m2 * area),
-                             area)
-    assert forced == pytest.approx(2 * base, rel=1e-12)
-    assert base > 0.0
-
-
-def test_mission_validation(params):
-    with pytest.raises(ValueError):
-        McMission(0.0)
-    with pytest.raises(ValueError):
-        McMission(1.0e8, total_gts=-5.0)
-    with pytest.raises(ValueError):
-        mission_time_mc(params, DeploymentVars.point(100.0, 0.5),
-                        McMission(1.0e8), 0.0)
