@@ -21,7 +21,7 @@ import numpy as np
 from .config import Config, ConfigError, load_config
 from .geometry import coverage_radius  # unused; perfbench/spans.py wraps it here
 from .mission import PlanTooLarge, assemble_plan
-from .montecarlo import SimSpec, simulate_rate
+from .montecarlo import MAX_SIM_TERMINALS, SimSpec, expected_terminals, simulate_rate
 from .optimize import optimize
 from .params import DeploymentVars
 from .rates import MC, MODES, rate_value
@@ -132,11 +132,21 @@ def _parse_range(text: str):
     return lo, hi, n
 
 
-def _sim_spec(args, seed: int) -> SimSpec:
+def _sim_spec(args, seed: int, params, points) -> SimSpec:
+    """The simulation of each operating point in points, within the terminal
+    budget of the whole command."""
     if args.realizations < 1:
         raise ConfigError(f"--realizations: need at least 1, got {args.realizations}")
-    return SimSpec(mode=args.mode, realizations=args.realizations, seed=seed,
+    spec = SimSpec(mode=args.mode, realizations=args.realizations, seed=seed,
                    count_model=args.count_model)
+    total = sum(expected_terminals(params, vars, spec) for vars in points)
+    if not total <= MAX_SIM_TERMINALS:
+        raise ConfigError(
+            f"--realizations/density_per_m2: {total:.3g} expected terminals exceed the "
+            f"Monte Carlo budget of {MAX_SIM_TERMINALS:,} (--realizations="
+            f"{args.realizations}, density_per_m2={params.density_per_m2}); lower either, "
+            "or simulate smaller cells")
+    return spec
 
 
 def cmd_optimize(cfg: Config, args, out_dir: Path) -> int:
@@ -186,10 +196,11 @@ def cmd_sweep(cfg: Config, args, out_dir: Path, seed: int) -> int:
     columns = [map(repr, values.tolist()),
                map(repr, rate_value(args.mode, params, h, theta).tolist())]
     if args.with_sim:
-        spec = _sim_spec(args, seed)
-        points = zip(np.broadcast_to(h, n).tolist(), np.broadcast_to(theta, n).tolist())
-        columns.append(map(repr, [simulate_rate(params, DeploymentVars.point(*point), spec)
-                                  .empirical_mean_bps_hz for point in points]))
+        points = [DeploymentVars.point(*point) for point in
+                  zip(np.broadcast_to(h, n).tolist(), np.broadcast_to(theta, n).tolist())]
+        spec = _sim_spec(args, seed, params, points)
+        columns.append(map(repr, [simulate_rate(params, point, spec).empirical_mean_bps_hz
+                                  for point in points]))
 
     path = out_dir / f"sweep_{args.mode}_{args.var}.csv"
     if args.with_sim:
@@ -210,11 +221,11 @@ def cmd_sweep(cfg: Config, args, out_dir: Path, seed: int) -> int:
 def cmd_simulate(cfg: Config, args, out_dir: Path, seed: int) -> int:
     if not (math.isfinite(args.gap_tol) and args.gap_tol >= 0.0):
         raise ConfigError(f"--gap-tol: must be finite and >= 0, got {args.gap_tol}")
-    spec = _sim_spec(args, seed)
     params = cfg.system_params()
     altitude = args.altitude if args.altitude is not None else (cfg.h_min_m + cfg.h_max_m) / 2
     theta = args.theta if args.theta is not None else (cfg.theta_min_rad + cfg.theta_max_rad) / 2
     vars = cfg.deployment_box().at(altitude_m=altitude, half_beamwidth_rad=theta)
+    spec = _sim_spec(args, seed, params, [vars])
     result = simulate_rate(params, vars, spec)
     stderr = result.empirical_stderr_bps_hz
     _report([

@@ -60,8 +60,11 @@ _DBM = ("p_downlink_dbm", "p_uplink_dbm", "noise_psd_dbm_hz")
 _REQUIRED = ("beta0", "bandwidth_hz", *_DBM, "density_per_m2", "h_min_m", "h_max_m")
 _OPTIONAL_POSITIVE = ("area_width_m", "area_height_m", "file_size_bits", "period_s",
                       "uav_speed_mps")
-# the power key of each derived SNR scale; both also scale with 1/noise
-_SNR_SCALE_KEYS = {"alpha": "p_downlink_dbm", "eta": "p_uplink_dbm"}
+# the keys each derived SNR scale depends on
+_SNR_SCALE_KEYS = {
+    "alpha": ("p_downlink_dbm", "beta0", "noise_psd_dbm_hz", "bandwidth_hz"),
+    "eta": ("p_uplink_dbm", "beta0", "noise_psd_dbm_hz", "bandwidth_hz", "density_per_m2"),
+}
 _KNOWN = set(_REQUIRED) | set(_OPTIONAL_POSITIVE) | {
     "theta_min_rad", "theta_max_rad", "theta_min_deg", "theta_max_deg", "seed"}
 
@@ -150,9 +153,9 @@ def _validate(cfg: Config):
     try:
         derived_constants(cfg.system_params())
     except DerivedConstantError as exc:
-        key = _SNR_SCALE_KEYS[exc.name]
-        raise ConfigError(f"{key}/noise_psd_dbm_hz: {exc} ({key}={getattr(cfg, key)}, "
-                          f"noise_psd_dbm_hz={cfg.noise_psd_dbm_hz})") from exc
+        keys = _SNR_SCALE_KEYS[exc.name]
+        values = ", ".join(f"{key}={getattr(cfg, key)}" for key in keys)
+        raise ConfigError(f"{'/'.join(keys)}: {exc} ({values})") from exc
     if cfg.h_min_m > cfg.h_max_m:
         raise ConfigError(f"h_min_m: must satisfy h_min_m <= h_max_m, got "
                           f"{cfg.h_min_m} > {cfg.h_max_m}")

@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uavcell import cli
+from uavcell import DeploymentVars, SimSpec, cli, montecarlo
+from uavcell.config import load_config
 from uavcell.optimize import SCAN_POINTS
 from uavcell.rates import MODES
 
@@ -33,6 +34,8 @@ BASE = {
     "uav_speed_mps": 20.0,
     "seed": 7,
 }
+# the keys that the downlink SNR scale alpha depends on, as its error names them
+ALPHA_KEYS = "p_downlink_dbm/beta0/noise_psd_dbm_hz/bandwidth_hz"
 
 
 @pytest.fixture
@@ -286,6 +289,43 @@ def test_too_few_realizations_named(cfg_path, tmp_path, capsys, argv, realizatio
     assert capsys.readouterr().err.startswith("config error: --realizations: ")
 
 
+BUDGET_COMMANDS = (
+    (("simulate", "--mode", "bc", "--altitude", "300", "--theta", "0.8"), 1),
+    (("sweep", "--mode", "bc", "--var", "h", "--range", "299.9:300.1:4", "--fixed-theta",
+      "0.8", "--with-sim"), 4),
+)
+
+
+@pytest.mark.parametrize("argv, rows", BUDGET_COMMANDS)
+def test_terminal_budget_counts_the_whole_command(cfg_path, tmp_path, capsys, monkeypatch,
+                                                  argv, rows):
+    # about 1,500 expected disk terminals per realization at H=300, theta=0.8;
+    # a sweep adds up its rows
+    params = load_config(cfg_path).system_params()
+    per_row = montecarlo.expected_terminals(params, DeploymentVars.point(300.0, 0.8),
+                                            SimSpec(mode="bc", realizations=5))
+    monkeypatch.setattr(cli, "MAX_SIM_TERMINALS", int(rows * per_row * 1.01))
+    assert run(cfg_path, tmp_path, *argv, "--realizations", "5") in (0, 3)
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "MAX_SIM_TERMINALS", int(rows * per_row * 0.99))
+    assert run(cfg_path, tmp_path, *argv, "--realizations", "5") == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: --realizations/density_per_m2: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, rows", BUDGET_COMMANDS)
+def test_over_budget_run_exits_2_before_drawing(cfg_path, tmp_path, capsys, monkeypatch,
+                                                argv, rows):
+    # 100,000 realizations of ~1,500 terminals exceed MAX_SIM_TERMINALS;
+    # nothing is drawn
+    monkeypatch.setattr(montecarlo, "sample_gts", None)
+    assert run(cfg_path, tmp_path, *argv, "--realizations", "100000") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --realizations/density_per_m2: ")
+    assert f"budget of {montecarlo.MAX_SIM_TERMINALS:,} " in err
+
+
 def test_plan_mc_summary_and_csv(cfg_path, tmp_path, capsys):
     assert run(cfg_path, tmp_path, "plan", "--mode", "mc") == 0
     report = parse_report(capsys.readouterr().out)
@@ -361,7 +401,7 @@ def test_overflowing_snr_scale_names_its_key(tmp_path, capsys):
     path.write_text(json.dumps(dict(BASE, p_downlink_dbm=3100.0)))
     assert run(path, tmp_path, "optimize", "--mode", "mac") == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: p_downlink_dbm/noise_psd_dbm_hz: ")
+    assert err.startswith(f"config error: {ALPHA_KEYS}: ")
     assert "alpha" in err and "altitude" not in err
 
 
@@ -483,5 +523,5 @@ def test_loud_narrow_sweeps_print_no_warnings(tmp_path, capsys):
             assert run(overflowing, tmp_path, "sweep", "--mode", mode, "--var", "theta",
                        "--range", "0.001:1.5:200") == 2
             err = capsys.readouterr().err
-            assert err.startswith("config error: p_downlink_dbm/noise_psd_dbm_hz: ")
+            assert err.startswith(f"config error: {ALPHA_KEYS}: ")
             assert len(err.splitlines()) == 1

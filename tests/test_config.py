@@ -117,15 +117,28 @@ def test_negative_seed_rejected(tmp_path):
         load_config(write_cfg(tmp_path, {"seed": -3}))
 
 
+# every key that the SNR scale of each power key depends on
+SNR_SCALE_KEYS = {
+    "p_downlink_dbm": "p_downlink_dbm/beta0/noise_psd_dbm_hz/bandwidth_hz",  # alpha
+    "p_uplink_dbm": "p_uplink_dbm/beta0/noise_psd_dbm_hz/bandwidth_hz/density_per_m2",  # eta
+}
+
+
 @pytest.mark.parametrize("overrides, key", [
     ({"p_downlink_dbm": 3100.0}, "p_downlink_dbm"),  # alpha = inf
     ({"p_uplink_dbm": 3100.0}, "p_uplink_dbm"),  # eta = inf
     ({"p_downlink_dbm": -3000.0, "noise_psd_dbm_hz": 3000.0}, "p_downlink_dbm"),  # alpha = 0
+    ({"beta0": 1e-318}, "p_uplink_dbm"),  # eta = 0, alpha still positive
 ])
 def test_derived_snr_scale_must_be_finite(tmp_path, overrides, key):
-    with pytest.raises(ConfigError, match=f"^{key}/noise_psd_dbm_hz: ") as info:
+    # the message names every key the scale depends on, and each key's value
+    keys = SNR_SCALE_KEYS[key]
+    with pytest.raises(ConfigError, match=f"^{keys}: ") as info:
         load_config(write_cfg(tmp_path, overrides))
-    assert "altitude" not in str(info.value)
+    message = str(info.value)
+    assert "altitude" not in message
+    for key in keys.split("/"):
+        assert f"{key}=" in message
 
 
 @pytest.mark.parametrize("overrides", [{"bandwidth_hz": 5e-324},

@@ -6,6 +6,7 @@ import pytest
 
 from uavcell import (DISK, HEXAGON, DeploymentVars, coverage_radius, hex_contains,
                      make_layout, sample_gts)
+from uavcell.geometry import Workspace
 
 SQRT3 = math.sqrt(3.0)
 POINT = DeploymentVars.point(100.0, math.pi / 10)
@@ -136,12 +137,74 @@ def test_sampling_draws_from_a_generator_in_place(params, one_cell):
         sample_gts(one_cell, DISK, rng, params.density_per_m2, realizations=0)
 
 
+def _reference_sample(rng, layout, region, density, count_model, realizations):
+    """The sampler as first written: Generator.uniform proposals in fresh
+    arrays, the counts drawn first."""
+    area = layout.hex_area_m2 if region == HEXAGON else layout.disk_area_m2
+    if count_model == "poisson":
+        counts = rng.poisson(density * area, size=realizations)
+    else:
+        counts = np.full(realizations, int(round(density * area)))
+    rbar = layout.circumradius_m
+    half_height, accept = (rbar, math.pi / 4) if region == DISK else (SQRT3 / 2 * rbar, 0.75)
+    xs, ys = [np.empty(0)], [np.empty(0)]
+    needed = int(counts.sum())
+    while needed > 0:
+        n_prop = int(needed / accept + 4.0 * math.sqrt(needed)) + 16
+        x = rng.uniform(-rbar, rbar, size=n_prop)
+        y = rng.uniform(-half_height, half_height, size=n_prop)
+        inside = (x * x + y * y <= rbar**2 if region == DISK
+                  else SQRT3 * np.abs(x) + np.abs(y) <= SQRT3 * rbar)
+        keep = np.flatnonzero(inside)[:needed]
+        xs.append(x[keep])
+        ys.append(y[keep])
+        needed -= len(keep)
+    x, y = np.concatenate(xs), np.concatenate(ys)
+    return counts, np.column_stack([x, y]), x * x + y * y
+
+
+@pytest.mark.parametrize("region", [DISK, HEXAGON])
+@pytest.mark.parametrize("count_model", ["poisson", "fixed"])
+def test_sampling_matches_the_uniform_reference_bit_for_bit(params, region, count_model):
+    # draws of growing and shrinking size from one generator, into one
+    # workspace and into fresh arrays, against the reference on a twin
+    # generator: the same counts, positions and r^2, bit for bit
+    layouts = (make_layout(params, POINT), make_layout(params, DeploymentVars.point(400.0, 0.9)))
+    for workspace in (Workspace(), None):
+        rng, twin = np.random.default_rng(21), np.random.default_rng(21)
+        for layout, realizations in ((layouts[0], 1), (layouts[0], 300), (layouts[1], 2),
+                                     (layouts[0], 7), (layouts[1], 1)):
+            real = sample_gts(layout, region, rng, params.density_per_m2,
+                              count_model=count_model, realizations=realizations,
+                              workspace=workspace)
+            counts, positions, r2 = _reference_sample(twin, layout, region,
+                                                      params.density_per_m2, count_model,
+                                                      realizations)
+            assert real.positions.shape == positions.shape
+            for got, want in ((real.counts, counts), (real.positions, positions),
+                              (real.r2, r2)):
+                assert got.tobytes() == want.tobytes()
+
+
 class _StingyGenerator(np.random.Generator):
-    """Returns a quarter of the uniform draws asked for, so that rejection
-    sampling needs several rounds."""
+    """Puts three quarters of every uniform draw on the corner of the
+    bounding box (x = rbar, |y| = the half height), outside both regions,
+    so that rejection sampling needs several rounds, whichever of uniform
+    and random the sampler draws with. Counts its draws."""
+
+    draws = 0
 
     def uniform(self, low=0.0, high=1.0, size=None):
-        return super().uniform(low, high, size=max(1, size // 4))
+        self.draws += 1
+        values = super().uniform(low, high, size)
+        values[size // 4:] = high
+        return values
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        self.draws += 1
+        values = super().random(size, dtype, out)
+        values[len(values) // 4:] = 1.0
+        return values
 
 
 @pytest.mark.parametrize("region", [DISK, HEXAGON])
@@ -149,6 +212,7 @@ def test_rejection_sampling_tops_up_short_rounds(params, one_cell, region):
     rng = _StingyGenerator(np.random.PCG64(4))
     real = sample_gts(one_cell, region, rng, params.density_per_m2,
                       count_model="fixed", realizations=3)
+    assert rng.draws >= 4  # an x and a y draw per round
     mean = one_cell.mean_gts_hex if region == HEXAGON else one_cell.mean_gts_disk
     assert len(real.positions) == len(real.r2) == 3 * round(mean)
     assert np.array_equal(real.r2, real.positions[:, 0]**2 + real.positions[:, 1]**2)

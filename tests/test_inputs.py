@@ -1,13 +1,12 @@
 """Property test over config inputs: the README config with one key set to an
 arbitrary JSON value (nan, +-inf, a huge or negative number, a bool, a
-string, null or a big integer). optimize, a 5-row sweep and plan must each
-exit 0 or 2 without a traceback. A run that exits 2 names its problem on
-stderr and reports nothing; a run that exits 0 reports, and writes to its
-CSV, only finite numbers (or n/a).
-
-simulate and sweep --with-sim are left out: with a large density they
-allocate terminals without bound, since the Monte Carlo commands have no
-terminal budget yet.
+string, null or a big integer). optimize, a 5-row sweep, plan, simulate
+and a 3-row sweep --with-sim must each exit 0 or 2 without a traceback, or
+3 for simulate's validation gap. A run that exits 2 names its problem on
+stderr and reports nothing; any other run reports, and writes to its CSV,
+only finite numbers (or n/a). The Monte Carlo commands run 3 realizations
+each: a large density or cell exits 2 at the terminal budget
+(montecarlo.MAX_SIM_TERMINALS) instead of drawing without bound.
 """
 import contextlib
 import csv
@@ -36,6 +35,7 @@ JSON_VALUES = st.one_of(
     st.none(),
 )
 SWEEPS = {"theta": "0.1:1.4:5", "h": "50:500:5"}
+SIM_SWEEPS = {"theta": "0.1:1.4:3", "h": "50:500:3"}
 
 
 def _is_number_text(text: str) -> bool:
@@ -47,7 +47,10 @@ def _is_number_text(text: str) -> bool:
 
 
 def _assert_finite(text: str, where):
-    # words, paths and n/a pass; every number must be finite
+    # words, paths and n/a pass; every number must be finite. An integer
+    # always is, even one beyond the float range (a huge seed is echoed)
+    if text.isdigit():
+        return
     if _is_number_text(text):
         assert math.isfinite(float(text)), where
 
@@ -73,13 +76,16 @@ def test_one_key_any_json_value(work_dir, key, value, mode, var):
     path.write_text(json.dumps(dict(CONFIG, **{key: value})))
     commands = (("optimize", "--mode", mode),
                 ("sweep", "--mode", mode, "--var", var, "--range", SWEEPS[var]),
-                ("plan", "--mode", mode))
+                ("plan", "--mode", mode),
+                ("simulate", "--mode", mode, "--realizations", "3", "--csv"),
+                ("sweep", "--mode", mode, "--var", var, "--range", SIM_SWEEPS[var],
+                 "--with-sim", "--realizations", "3"))
     for argv in commands:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(["--config", str(path), "--out", str(work_dir), *argv])
         where = (key, value, argv)
-        assert code in (0, 2), where
+        assert code in ((0, 2, 3) if argv[0] == "simulate" else (0, 2)), where
         if code == 2:
             assert err.getvalue().startswith("config error: "), where
             assert out.getvalue() == "", where

@@ -1,11 +1,13 @@
 """Seeded Monte Carlo validation of the analytic throughput expressions."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from uavcell import (MODES, DeploymentVars, SimSpec, cell_edge_rate_mc, coverage_radius,
-                     geometry, montecarlo, simulate_rate, snr_mac, snr_mc)
+from conftest import make_params
+from uavcell import (MODES, DeploymentVars, GtRealization, SimSpec, cell_edge_rate_mc,
+                     coverage_radius, geometry, montecarlo, simulate_rate, snr_mac, snr_mc)
 from uavcell.geometry import SQRT3
 
 
@@ -92,39 +94,80 @@ def _loop_reference(mode, params, point, positions, counts):
 
 # (H, theta, realizations): about one terminal per cell, so that many
 # realizations are empty; about 1,000, several realizations per block;
-# more than BLOCK_TERMINALS, one realization per block
-LOOP_POINTS = ((40.0, 0.2, 300), (300.0, 0.7, 20), (600.0, 1.0, 3))
+# more than BLOCK_TERMINALS, two chunks per realization; more than twice
+# BLOCK_TERMINALS, three chunks
+LOOP_POINTS = ((40.0, 0.2, 300), (300.0, 0.7, 20), (600.0, 1.0, 3), (800.0, 1.0, 3))
 
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("h, theta, realizations", LOOP_POINTS)
 def test_block_values_match_a_loop(params, monkeypatch, mode, h, theta, realizations):
-    blocks = []
+    draws = []
 
     def record(*args, **kwargs):
-        blocks.append(geometry.sample_gts(*args, **kwargs))
-        return blocks[-1]
+        real = geometry.sample_gts(*args, **kwargs)
+        # a draw is a view of the simulation's workspace, which the next
+        # draw overwrites
+        draws.append(GtRealization(real.positions.copy(), real.counts.copy(), real.r2.copy()))
+        return real
 
     monkeypatch.setattr(montecarlo, "sample_gts", record)
     point = DeploymentVars.point(h, theta)
     res = simulate_rate(params, point, SimSpec(mode=mode, realizations=realizations, seed=9))
-    counts = np.concatenate([block.counts for block in blocks])
-    positions = np.concatenate([block.positions for block in blocks])
-    assert np.array_equal(counts, res.gt_counts)
+    counts = res.gt_counts
+    positions = np.concatenate([draw.positions for draw in draws])
+    assert len(positions) == counts.sum()
     # the same float64 terms, summed in another order (seen: 7e-16)
     np.testing.assert_allclose(res.per_realization,
                                _loop_reference(mode, params, point, positions, counts),
                                rtol=1e-12, atol=0.0)
-    # whole realizations per block, a block over BLOCK_TERMINALS only alone
     area_per_r2 = 1.5 * SQRT3 if mode == "mc" else math.pi  # hexagon or disk
     expected = params.density_per_m2 * area_per_r2 * (h * math.tan(theta))**2
-    sizes = [len(block.counts) for block in blocks]
-    assert sum(sizes) == realizations
-    assert all(k == 1 or k * expected <= montecarlo.BLOCK_TERMINALS for k in sizes)
+    block = montecarlo.BLOCK_TERMINALS
+    if expected <= block:
+        # whole realizations per block, a block over BLOCK_TERMINALS only alone
+        assert np.array_equal(np.concatenate([draw.counts for draw in draws]), counts)
+        assert all(len(draw.counts) == 1 or len(draw.counts) * expected <= block
+                   for draw in draws)
+    else:
+        # one realization at a time, in chunks of at most BLOCK_TERMINALS
+        # that add up to its count
+        sizes = [len(draw.positions) for draw in draws]
+        assert all(len(draw.counts) == 1 for draw in draws)
+        assert max(sizes) <= block
+        chunks = iter(sizes)
+        for n in counts.tolist():
+            drawn = 0
+            while drawn < n:
+                drawn += next(chunks)
+            assert drawn == n
+        assert next(chunks, None) is None
     if h == 40.0:
         assert (counts == 0).sum() > 10
     if h == 600.0:
-        assert counts.min() > montecarlo.BLOCK_TERMINALS and sizes == [1, 1, 1]
+        assert counts.min() > block
+    if h == 800.0:
+        assert counts.min() > 2 * block
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_memory_does_not_grow_with_the_cell(params, mode):
+    # terminals are drawn and reduced in chunks of BLOCK_TERMINALS, into
+    # one workspace per call: the peak is the same at 1e4 and 1e6 expected
+    # terminals per realization (drawn whole, it was 0.9 MB and 89 MB)
+    area_per_r2 = 1.5 * SQRT3 if mode == "mc" else math.pi
+    for terminals, realizations in ((1e4, 10), (1e6, 2)):
+        radius = math.sqrt(terminals / (params.density_per_m2 * area_per_r2))
+        point = DeploymentVars.point(radius / math.tan(1.0), 1.0)
+        tracemalloc.start()
+        try:
+            res = simulate_rate(params, point, SimSpec(mode=mode, realizations=realizations,
+                                                       seed=4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.gt_counts.min() > 0.9 * terminals
+        assert peak <= 2e6, (terminals, peak)
 
 
 def test_single_realization_has_no_stderr(params):
@@ -140,3 +183,25 @@ def test_stderr_shrinks_like_sqrt_n(params):
     large = simulate_rate(params, point, SimSpec(mode="bc", realizations=400, seed=5))
     ratio = small.empirical_stderr_bps_hz / large.empirical_stderr_bps_hz
     assert ratio == pytest.approx(2.0, rel=0.2)
+
+
+def test_stderr_is_the_sample_formula(params):
+    point = DeploymentVars.point(300.0, 0.4)
+    res = simulate_rate(params, point, SimSpec(mode="bc", realizations=40, seed=5))
+    want = float(np.std(res.per_realization, ddof=1) / math.sqrt(40))
+    assert res.empirical_stderr_bps_hz == want
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_stderr_of_tiny_rates_does_not_underflow(mode):
+    # beta0 = 1e-300 puts every realization near 1e-294: their squared
+    # deviations underflow to 0 unless they are scaled first
+    faint = make_params(beta0=1e-300)
+    res = simulate_rate(faint, DeploymentVars.point(275.0, 0.775),
+                        SimSpec(mode=mode, realizations=30, seed=7))
+    values = res.per_realization
+    assert 0.0 < values.max() < 1e-290 and len(set(values.tolist())) > 1
+    scale = 2.0**1000
+    want = float(np.std(values * scale, ddof=1) / math.sqrt(len(values))) / scale
+    assert res.empirical_stderr_bps_hz == pytest.approx(want, rel=1e-12)
+    assert res.empirical_stderr_bps_hz > 0.0
