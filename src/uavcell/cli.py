@@ -21,7 +21,8 @@ import numpy as np
 from .config import Config, ConfigError, load_config
 from .geometry import coverage_radius  # unused; perfbench/spans.py wraps it here
 from .mission import PlanTooLarge, assemble_plan
-from .montecarlo import MAX_SIM_TERMINALS, SimSpec, expected_terminals, simulate_rate
+from .montecarlo import (MAX_SIM_REALIZATIONS, MAX_SIM_TERMINALS, SimSpec, expected_terminals,
+                         simulate_rate)
 from .optimize import optimize
 from .params import DeploymentVars
 from .rates import MC, MODES, rate_value
@@ -133,10 +134,16 @@ def _parse_range(text: str):
 
 
 def _sim_spec(args, seed: int, params, points) -> SimSpec:
-    """The simulation of each operating point in points, within the terminal
-    budget of the whole command."""
+    """The simulation of each operating point in points, within the
+    realization cap and the terminal budget of the whole command."""
     if args.realizations < 1:
         raise ConfigError(f"--realizations: need at least 1, got {args.realizations}")
+    realizations = args.realizations * len(points)
+    if realizations > MAX_SIM_REALIZATIONS:
+        raise ConfigError(
+            f"--realizations: {realizations:,} realizations exceed the Monte Carlo cap of "
+            f"{MAX_SIM_REALIZATIONS:,} per command (--realizations={args.realizations} at "
+            f"{len(points)} operating point(s)); lower --realizations")
     spec = SimSpec(mode=args.mode, realizations=args.realizations, seed=seed,
                    count_model=args.count_model)
     total = sum(expected_terminals(params, vars, spec) for vars in points)

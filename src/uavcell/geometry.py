@@ -73,19 +73,43 @@ def hex_contains(xy, circumradius: float):
     return inside if inside.ndim else bool(inside)
 
 
+# unit edge vectors of the hexagon's three rhombi, 120 degrees apart and
+# the first on the +x vertex; rhombus k is spanned by rows k and k + 1
+_RHOMBUS_EDGES = np.array([[1.0, 0.0], [-0.5, SQRT3 / 2], [-0.5, -SQRT3 / 2], [1.0, 0.0]])
+
+
 @dataclass(frozen=True)
 class GtRealization:
     """Terminals of one or more realizations, relative to the cell center.
 
-    The realizations lie back to back: the first counts[0] rows of positions
-    belong to realization 0, the next counts[1] to realization 1, and so on.
-    Drawn into a Workspace, positions and r2 are views of its arrays, valid
+    The realizations lie back to back: the first counts[0] terminals belong
+    to realization 0, the next counts[1] to realization 1, and so on. Each
+    terminal is stored as its squared ground distance r2 and the uniforms
+    it was drawn from, one row per variable (see _uniform_in_region).
+    Drawn into a Workspace, r2 and uniforms are views of its arrays, valid
     until the next draw into it.
     """
 
-    positions: np.ndarray  # shape (n, 2), meters
-    counts: np.ndarray     # terminals per realization
-    r2: np.ndarray         # squared ground distance of each terminal, m^2
+    counts: np.ndarray    # terminals per realization
+    r2: np.ndarray        # squared ground distance of each terminal, m^2
+    region: str
+    circumradius_m: float
+    uniforms: np.ndarray  # shape (2, n) for the disk, (3, n) for the hexagon
+
+    @property
+    def positions(self) -> np.ndarray:
+        """Terminal positions, shape (n, 2) in meters, built from the
+        uniforms in fresh arrays on every read."""
+        rbar = self.circumradius_m
+        if self.region == DISK:
+            u, w = self.uniforms
+            rho = rbar * np.sqrt(u)
+            angle = 2.0 * math.pi * w
+            return np.column_stack([rho * np.cos(angle), rho * np.sin(angle)])
+        u, v, w = self.uniforms
+        edges = rbar * _RHOMBUS_EDGES
+        k = (3.0 * w).astype(np.intp)  # floor: 0 <= 3w < 3
+        return u[:, None] * edges[k] + v[:, None] * edges[k + 1]
 
 
 class Workspace:
@@ -109,53 +133,31 @@ class Workspace:
         return buf[:size]
 
 
-def _uniform(rng: np.random.Generator, out: np.ndarray, low: float, high: float):
-    """rng.uniform(low, high, size=len(out)), bit for bit, drawn into out."""
-    rng.random(out=out)
-    out *= high - low
-    out += low
-    return out
-
-
 def _uniform_in_region(rng: np.random.Generator, region: str, rbar: float, count: int,
                        ws: Workspace):
-    """count points uniform in the region, as an (x, y) pair of rows and
-    x^2 + y^2.
+    """count points uniform in the region, as the uniforms they are drawn
+    from (one row per variable) and their squared distance r^2 from the
+    center, by inversion with no rejection.
 
-    Rejection from the bounding box, which accepts pi/4 of the disk's
-    proposals and 3/4 of the hexagon's; a round proposes enough that a
-    second one is rare.
+    The disk draws (U, W): r^2 = rbar^2*U inverts the distribution of the
+    squared distance, and W is the angle as a fraction of a turn. The
+    hexagon is three rhombi spanned by unit vectors 120 degrees apart; it
+    draws (U, V, W), puts the point U*a + V*b in rhombus floor(3W), and
+    has r^2 = rbar^2*(U^2 - U*V + V^2) in every rhombus, so W leaves r^2
+    alone. All uniforms come from one draw; only r^2 is computed here.
     """
-    # the disk's test on x^2 + y^2, hex_contains's on sqrt(3)|x| + |y|;
-    # |y| <= half_height holds by the draw
+    rows = 2 if region == DISK else 3
+    uniforms = rng.random(out=ws.array("uniforms", rows * count)).reshape(rows, count)
+    r2 = ws.array("r2", count)
     if region == DISK:
-        half_height, accept, limit = rbar, math.pi / 4, rbar**2
+        np.multiply(uniforms[0], rbar * rbar, out=r2)
     else:
-        half_height, accept, limit = SQRT3 / 2 * rbar, 0.75, SQRT3 * rbar
-    xy = ws.array("xy", 2 * count).reshape(2, count)
-    filled = 0
-    while filled < count:
-        needed = count - filled
-        n_prop = int(needed / accept + 4.0 * math.sqrt(needed)) + 16
-        x = _uniform(rng, ws.array("x", n_prop), -rbar, rbar)
-        y = _uniform(rng, ws.array("y", n_prop), -half_height, half_height)
-        a, b = ws.array("a", n_prop), ws.array("b", n_prop)
-        if region == DISK:
-            np.multiply(x, x, out=a)
-            np.multiply(y, y, out=b)
-        else:
-            np.abs(x, out=a)
-            a *= SQRT3
-            np.abs(y, out=b)
-        a += b
-        inside = np.less_equal(a, limit, out=ws.array("inside", n_prop, bool))
-        keep = np.flatnonzero(inside)[:needed]
-        for row, drawn in zip(xy, (x, y)):
-            np.take(drawn, keep, out=row[filled:filled + len(keep)], mode="clip")
-        filled += len(keep)
-    r2 = np.multiply(xy[0], xy[0], out=ws.array("r2", count))
-    r2 += np.multiply(xy[1], xy[1], out=ws.array("b", count))
-    return xy, r2
+        u, v = uniforms[0], uniforms[1]
+        np.subtract(v, u, out=r2)
+        r2 *= v
+        r2 += np.multiply(u, u, out=ws.array("u2", count))
+        r2 *= rbar * rbar
+    return uniforms, r2
 
 
 def draw_counts(rng: np.random.Generator, mean: float, count_model: str,
@@ -170,16 +172,17 @@ def draw_counts(rng: np.random.Generator, mean: float, count_model: str,
 def sample_gts(layout: CellLayout, region: str, seed, density: float,
                count_model: str = "poisson", realizations: int = 1, *,
                counts=None, workspace: Workspace | None = None) -> GtRealization:
-    """Sample realizations of terminal positions in a cell.
+    """Sample realizations of terminals in a cell.
 
     Each realization's count is Poisson with mean density*area by default,
     or the rounded mean with count_model="fixed"; with counts given, no
-    count is drawn. Positions are i.i.d. uniform in the region. seed is
+    count is drawn. Terminals are i.i.d. uniform in the region. seed is
     anything np.random.default_rng accepts; a Generator is drawn from in
-    place. The counts are drawn first, then every realization's points in
-    one pass, so the result is deterministic for a given seed and
-    realization count. The points are drawn into workspace, or into fresh
-    arrays without one.
+    place. The counts are drawn first, then every realization's uniforms
+    in one call, so the result, positions included, is deterministic for a
+    given seed and realization count. The uniforms and r^2 are drawn into
+    workspace, or into fresh arrays without one; positions are built only
+    when read.
     """
     if region not in REGIONS:
         raise ValueError(f"region must be one of {REGIONS}, got {region!r}")
@@ -193,6 +196,8 @@ def sample_gts(layout: CellLayout, region: str, seed, density: float,
     if counts is None:
         area = layout.hex_area_m2 if region == HEXAGON else layout.disk_area_m2
         counts = draw_counts(rng, density * area, count_model, realizations)
-    xy, r2 = _uniform_in_region(rng, region, layout.circumradius_m, int(counts.sum()),
-                                workspace or Workspace())
-    return GtRealization(positions=xy.T, counts=counts, r2=r2)
+    rbar = layout.circumradius_m
+    uniforms, r2 = _uniform_in_region(rng, region, rbar, int(counts.sum()),
+                                      workspace or Workspace())
+    return GtRealization(counts=counts, r2=r2, region=region, circumradius_m=rbar,
+                         uniforms=uniforms)

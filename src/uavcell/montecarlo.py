@@ -1,13 +1,15 @@
 """Monte Carlo validation of the closed-form cell rates.
 
-Each realization draws terminal positions (and optionally a Poisson count)
-in one cell and evaluates the realized sum rate; the empirical mean over
-realizations is compared against the analytic expression.
+Each realization draws its terminals (and optionally a Poisson count) in
+one cell and evaluates the realized sum rate from their squared distances to
+the cell center, which the sampler draws directly, without positions; the
+empirical mean over realizations is compared against the analytic
+expression.
 
 A call draws from one random stream per seed, in a fixed order. Cells
 expecting at most BLOCK_TERMINALS terminals are drawn in blocks of whole
 realizations, about BLOCK_TERMINALS expected terminals each, each block's
-counts first and then its positions. A larger realization has its count
+counts first and then its terminals. A larger realization has its count
 drawn first, then its terminals in chunks of at most BLOCK_TERMINALS, and
 its statistic (the largest r^2 for mc, the sum of ln(1 + SNR) for bc and
 mac) is reduced across the chunks. Every block and chunk is drawn into one
@@ -33,15 +35,24 @@ _REGION_FOR_MODE = {MC: HEXAGON, BC: DISK, MAC: DISK}
 
 # expected terminals drawn at once: whole realizations share a block up to
 # this size, and a larger realization is drawn in chunks of at most this
-# size. It sets the peak memory of a call, 0.7 to 0.8 MB. In-process passes
-# over the benchmark's Monte Carlo points took 1.68x, 1.22x, 0.96x and
-# 1.13x as long with 2048, 4096, 16384 and 32768.
+# size. It sets the peak memory of a call, 0.3 to 0.4 MB. In-process passes
+# over the benchmark's Monte Carlo points took 1.66x to 1.76x, 1.09x to
+# 1.22x, 0.85x to 0.86x and 0.85x to 0.89x as long with 2048, 4096, 16384
+# and 32768 (two runs on a 2-core x86 VM); 16384 would double the peak.
 BLOCK_TERMINALS = 8192
 
 # expected terminals that one command may draw, over all its realizations
 # and sweep rows (the CLI exits 2 above it): 100 realizations of 1e6
-# terminals took 3.4 to 3.9 s and peaked at 36 MB RSS on a 2-core x86 VM
+# terminals took 1.4 to 2.4 s in each mode and peaked at 35 MB RSS on a
+# 2-core x86 VM
 MAX_SIM_TERMINALS = 10**8
+
+# realizations that one command may simulate, over all its sweep rows (the
+# CLI exits 2 above it). A realization holds about 39 B until its simulate
+# call returns and costs about 0.2 us, whatever its cell: 1e6 realizations
+# of half a terminal took 0.16 to 0.19 s and peaked at 74 MB RSS, against
+# 35 MB for 100.
+MAX_SIM_REALIZATIONS = 10**6
 
 
 @dataclass(frozen=True)

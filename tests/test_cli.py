@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -324,6 +325,46 @@ def test_over_budget_run_exits_2_before_drawing(cfg_path, tmp_path, capsys, monk
     err = capsys.readouterr().err
     assert err.startswith("config error: --realizations/density_per_m2: ")
     assert f"budget of {montecarlo.MAX_SIM_TERMINALS:,} " in err
+
+
+TINY_CELL_COMMANDS = (
+    (("simulate", "--mode", "bc", "--altitude", "50", "--theta", "0.05"), 1),
+    (("sweep", "--mode", "mac", "--var", "h", "--range", "9.9:10.1:4", "--fixed-theta",
+      "0.05", "--with-sim"), 4),
+)
+
+
+@pytest.mark.parametrize("argv, rows", TINY_CELL_COMMANDS)
+def test_realization_cap_counts_the_whole_command(cfg_path, tmp_path, capsys, monkeypatch,
+                                                  argv, rows):
+    # a cell of radius 2.5 m or less expects under 0.1 terminals, far inside
+    # the terminal budget; the realizations of all rows are capped on their own
+    monkeypatch.setattr(cli, "MAX_SIM_REALIZATIONS", 5 * rows)
+    assert run(cfg_path, tmp_path, *argv, "--realizations", "5") in (0, 3)
+    capsys.readouterr()
+    assert run(cfg_path, tmp_path, *argv, "--realizations", "6") == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: --realizations: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, rows", TINY_CELL_COMMANDS)
+def test_too_many_realizations_exit_2_before_allocating(cfg_path, tmp_path, capsys,
+                                                        monkeypatch, argv, rows):
+    # 1e8 realizations of under 0.1 expected terminals pass the terminal budget
+    # but would hold about 4 GB; the refusal simulates and allocates nothing
+    monkeypatch.setattr(cli, "simulate_rate", None)
+    tracemalloc.start()
+    try:
+        code = run(cfg_path, tmp_path, *argv, "--realizations", "100000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: --realizations: {100_000_000 * rows:,} realizations "
+                          f"exceed the Monte Carlo cap of {montecarlo.MAX_SIM_REALIZATIONS:,} ")
+    assert peak < 1e6
 
 
 def test_plan_mc_summary_and_csv(cfg_path, tmp_path, capsys):

@@ -1,12 +1,15 @@
 """Cell geometry, densities, and terminal sampling."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from uavcell import (DISK, HEXAGON, DeploymentVars, coverage_radius, hex_contains,
                      make_layout, sample_gts)
 from uavcell.geometry import Workspace
+from uavcell.montecarlo import BLOCK_TERMINALS
 
 SQRT3 = math.sqrt(3.0)
 POINT = DeploymentVars.point(100.0, math.pi / 10)
@@ -112,10 +115,11 @@ def test_batched_sampling(params, one_cell, region, mean_r2, count_model):
                       count_model=count_model, realizations=2000)
     assert len(real.counts) == 2000
     assert real.counts.sum() == len(real.positions) == len(real.r2)
-    x, y = real.positions.T
-    assert np.array_equal(real.r2, x**2 + y**2)
+    # positions are built from the same uniforms as r2, in other float64
+    # operations
     R = one_cell.circumradius_m
     assert _contains(region, real.positions, R).all()
+    np.testing.assert_allclose(np.hypot(*real.positions.T)**2, real.r2, rtol=1e-12, atol=0.0)
     # E[r^2] of a uniform point is R^2/2 on the disk and 5R^2/12 on the
     # hexagon, in either half of the realizations: 3 % is at least 6
     # standard errors of a half's 13k to 17k points
@@ -138,29 +142,19 @@ def test_sampling_draws_from_a_generator_in_place(params, one_cell):
 
 
 def _reference_sample(rng, layout, region, density, count_model, realizations):
-    """The sampler as first written: Generator.uniform proposals in fresh
-    arrays, the counts drawn first."""
+    """The sampler's draws in fresh arrays: the counts, then one
+    Generator.random call for every terminal's uniforms, one row per
+    variable, and r^2 from them."""
     area = layout.hex_area_m2 if region == HEXAGON else layout.disk_area_m2
     if count_model == "poisson":
         counts = rng.poisson(density * area, size=realizations)
     else:
         counts = np.full(realizations, int(round(density * area)))
     rbar = layout.circumradius_m
-    half_height, accept = (rbar, math.pi / 4) if region == DISK else (SQRT3 / 2 * rbar, 0.75)
-    xs, ys = [np.empty(0)], [np.empty(0)]
-    needed = int(counts.sum())
-    while needed > 0:
-        n_prop = int(needed / accept + 4.0 * math.sqrt(needed)) + 16
-        x = rng.uniform(-rbar, rbar, size=n_prop)
-        y = rng.uniform(-half_height, half_height, size=n_prop)
-        inside = (x * x + y * y <= rbar**2 if region == DISK
-                  else SQRT3 * np.abs(x) + np.abs(y) <= SQRT3 * rbar)
-        keep = np.flatnonzero(inside)[:needed]
-        xs.append(x[keep])
-        ys.append(y[keep])
-        needed -= len(keep)
-    x, y = np.concatenate(xs), np.concatenate(ys)
-    return counts, np.column_stack([x, y]), x * x + y * y
+    uniforms = rng.random((2 if region == DISK else 3, int(counts.sum())))
+    u, v = uniforms[0], uniforms[-2]
+    r2 = u * (rbar * rbar) if region == DISK else (v * (v - u) + u * u) * (rbar * rbar)
+    return counts, uniforms, r2
 
 
 @pytest.mark.parametrize("region", [DISK, HEXAGON])
@@ -168,52 +162,87 @@ def _reference_sample(rng, layout, region, density, count_model, realizations):
 def test_sampling_matches_the_uniform_reference_bit_for_bit(params, region, count_model):
     # draws of growing and shrinking size from one generator, into one
     # workspace and into fresh arrays, against the reference on a twin
-    # generator: the same counts, positions and r^2, bit for bit
+    # generator: the same counts, uniforms and r^2, bit for bit, and the
+    # same positions with a workspace as without one
     layouts = (make_layout(params, POINT), make_layout(params, DeploymentVars.point(400.0, 0.9)))
+    sizes = ((layouts[0], 1), (layouts[0], 300), (layouts[1], 2), (layouts[0], 7),
+             (layouts[1], 1))
+    positions = {}
     for workspace in (Workspace(), None):
         rng, twin = np.random.default_rng(21), np.random.default_rng(21)
-        for layout, realizations in ((layouts[0], 1), (layouts[0], 300), (layouts[1], 2),
-                                     (layouts[0], 7), (layouts[1], 1)):
+        for step, (layout, realizations) in enumerate(sizes):
             real = sample_gts(layout, region, rng, params.density_per_m2,
                               count_model=count_model, realizations=realizations,
                               workspace=workspace)
-            counts, positions, r2 = _reference_sample(twin, layout, region,
-                                                      params.density_per_m2, count_model,
-                                                      realizations)
-            assert real.positions.shape == positions.shape
-            for got, want in ((real.counts, counts), (real.positions, positions),
+            counts, uniforms, r2 = _reference_sample(twin, layout, region,
+                                                     params.density_per_m2, count_model,
+                                                     realizations)
+            assert real.positions.shape == (counts.sum(), 2)
+            for got, want in ((real.counts, counts), (real.uniforms, uniforms),
                               (real.r2, r2)):
                 assert got.tobytes() == want.tobytes()
+            positions.setdefault(step, []).append(real.positions.tobytes())
+    assert all(with_ws == without for with_ws, without in positions.values())
 
 
-class _StingyGenerator(np.random.Generator):
-    """Puts three quarters of every uniform draw on the corner of the
-    bounding box (x = rbar, |y| = the half height), outside both regions,
-    so that rejection sampling needs several rounds, whichever of uniform
-    and random the sampler draws with. Counts its draws."""
-
-    draws = 0
-
-    def uniform(self, low=0.0, high=1.0, size=None):
-        self.draws += 1
-        values = super().uniform(low, high, size)
-        values[size // 4:] = high
-        return values
-
-    def random(self, size=None, dtype=np.float64, out=None):
-        self.draws += 1
-        values = super().random(size, dtype, out)
-        values[len(values) // 4:] = 1.0
-        return values
+def _r2_cdf(region, s):
+    """Exact CDF of r^2/R^2 for a point uniform in the disk or hexagon of
+    circumradius R: the share of the region within sqrt(s) R of its center.
+    Past the hexagon's inradius a, the disk loses six circular segments."""
+    s = np.clip(s, 0.0, 1.0)
+    if region == DISK:
+        return s
+    a, past = SQRT3 / 2, np.maximum(s, 0.75)  # a^2 = 3/4
+    segments = 6 * (past * np.arccos(a / np.sqrt(past)) - a * np.sqrt(past - 0.75))
+    return (math.pi * s - np.where(s > 0.75, segments, 0.0)) / (1.5 * SQRT3)
 
 
 @pytest.mark.parametrize("region", [DISK, HEXAGON])
-def test_rejection_sampling_tops_up_short_rounds(params, one_cell, region):
-    rng = _StingyGenerator(np.random.PCG64(4))
-    real = sample_gts(one_cell, region, rng, params.density_per_m2,
-                      count_model="fixed", realizations=3)
-    assert rng.draws >= 4  # an x and a y draw per round
-    mean = one_cell.mean_gts_hex if region == HEXAGON else one_cell.mean_gts_disk
-    assert len(real.positions) == len(real.r2) == 3 * round(mean)
-    assert np.array_equal(real.r2, real.positions[:, 0]**2 + real.positions[:, 1]**2)
-    assert _contains(region, real.positions, one_cell.circumradius_m).all()
+def test_r2_follows_the_exact_distribution(params, one_cell, region):
+    # Kolmogorov-Smirnov on 40,000 terminals against the exact CDF of
+    # r^2/R^2: a right sampler fails it with probability 1e-6
+    real = sample_gts(one_cell, region, 12, params.density_per_m2,
+                      counts=np.array([40_000]))
+    s = real.r2 / one_cell.circumradius_m**2
+    assert stats.kstest(s, lambda x: _r2_cdf(region, x)).pvalue > 1e-6
+    if region == HEXAGON:
+        # the rhombus form with the wrong sign, U^2 + U*V + V^2, is caught
+        u, v, _ = real.uniforms
+        assert stats.kstest(u * u + u * v + v * v, lambda x: _r2_cdf(region, x)).pvalue < 1e-6
+
+
+def test_r2_cdf_matches_the_region_areas():
+    # the hexagon's CDF is 1 at its vertex, the inscribed disk's share at
+    # its inradius, and a midpoint quadrature of hex_contains over a
+    # quadrant in between (seen within 4e-5)
+    assert _r2_cdf(HEXAGON, 1.0) == pytest.approx(1.0, rel=1e-14)
+    assert _r2_cdf(HEXAGON, 0.75) == pytest.approx(math.pi * 0.75 / (1.5 * SQRT3), rel=1e-14)
+    grid = (np.arange(500) + 0.5) / 500
+    x, y = np.meshgrid(grid, grid)
+    quadrant = (1.5 * SQRT3) / 4 * 500**2
+    for s in (0.8, 0.9, 0.95):
+        inside = hex_contains(np.stack([x, y], axis=-1), 1.0) & (x * x + y * y <= s)
+        assert _r2_cdf(HEXAGON, s) == pytest.approx(inside.sum() / quadrant, abs=2e-4)
+
+
+@pytest.mark.parametrize("region", [DISK, HEXAGON])
+def test_sampling_into_a_warm_workspace_allocates_nothing(params, one_cell, region):
+    # a block of BLOCK_TERMINALS terminals into a workspace that has held
+    # one: only small objects are made, and positions are not built until
+    # read
+    ws, rng = Workspace(), np.random.default_rng(6)
+    counts = np.array([BLOCK_TERMINALS])
+    sample_gts(one_cell, region, rng, params.density_per_m2, counts=counts, workspace=ws)
+    one_array = 8 * BLOCK_TERMINALS
+    tracemalloc.start()
+    try:
+        real = sample_gts(one_cell, region, rng, params.density_per_m2, counts=counts,
+                          workspace=ws)
+        drawn = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert len(real.positions) == BLOCK_TERMINALS
+        read = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert drawn < one_array
+    assert read >= 2 * one_array  # the probe sees numpy's arrays

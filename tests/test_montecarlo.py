@@ -1,4 +1,5 @@
 """Seeded Monte Carlo validation of the analytic throughput expressions."""
+import dataclasses
 import math
 import tracemalloc
 
@@ -6,8 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import make_params
-from uavcell import (MODES, DeploymentVars, GtRealization, SimSpec, cell_edge_rate_mc,
-                     coverage_radius, geometry, montecarlo, simulate_rate, snr_mac, snr_mc)
+from uavcell import (MODES, DeploymentVars, SimSpec, cell_edge_rate_mc, coverage_radius,
+                     geometry, montecarlo, simulate_rate, snr_mac, snr_mc)
 from uavcell.geometry import SQRT3
 
 
@@ -107,8 +108,9 @@ def test_block_values_match_a_loop(params, monkeypatch, mode, h, theta, realizat
     def record(*args, **kwargs):
         real = geometry.sample_gts(*args, **kwargs)
         # a draw is a view of the simulation's workspace, which the next
-        # draw overwrites
-        draws.append(GtRealization(real.positions.copy(), real.counts.copy(), real.r2.copy()))
+        # draw overwrites; its positions are built from the copied uniforms
+        draws.append(dataclasses.replace(real, counts=real.counts.copy(), r2=real.r2.copy(),
+                                         uniforms=real.uniforms.copy()))
         return real
 
     monkeypatch.setattr(montecarlo, "sample_gts", record)
