@@ -4,8 +4,10 @@ All three expressions are the exact radial integrals of the per-terminal
 Shannon rates over one cell, normalized by bandwidth (bps/Hz):
 
   mc  (multicast)   R = K_s * log2(1 + snr at the cell edge), hexagonal cell
-  bc  (broadcast)   R = integral of per-terminal FDMA rates over the disk
-  mac (uplink)      like bc for simultaneous uplink; independent of altitude
+  bc  (broadcast)   R = D(alpha / (theta^2 H^2), tan^2 theta), per-terminal FDMA
+  mac (uplink)      R = D(eta tan^2 theta / theta^2, tan^2 theta), free of H
+
+with D(s, c) the disk mean of log2(1 + s/(1+u)), u = (r/H)^2 in [0, c].
 """
 from __future__ import annotations
 
@@ -24,10 +26,6 @@ MAC = "mac"
 MODES = (MC, BC, MAC)
 
 
-def _log2_1p(x):
-    return np.log1p(x) / LN2
-
-
 def _check_domain(h, theta):
     # min/max propagate NaN, which then fails the comparison like any bad value
     if h.size and not h.min() > 0.0:
@@ -39,7 +37,7 @@ def _check_domain(h, theta):
 
 def _edge_rate(params: SystemParams, h, theta):
     alpha = derived_constants(params).alpha
-    return _log2_1p(alpha * np.cos(theta)**2 / (theta**2 * h**2))
+    return np.log1p(alpha * np.cos(theta)**2 / (theta**2 * h**2)) / LN2
 
 
 def _mc_value(params: SystemParams, h, theta):
@@ -47,28 +45,26 @@ def _mc_value(params: SystemParams, h, theta):
     return 1.5 * SQRT3 * rho * h**2 * np.tan(theta)**2 * _edge_rate(params, h, theta)
 
 
+def _disk_mean(s, c):
+    """Mean of ln(1 + s/(1+u)) over u in [0, c], the disk average of bc and mac.
+
+    c times it is the integral of 1/(1+u+v) over [0, c] x [0, s], symmetric in s and c:
+    with m, M = min, max(s, c) it is m*log1p(M/(1+m)) plus the positive difference
+    (1+M)*log1p(m/(1+M)) - log1p(m), whose error is about eps/M; s = 0 gives 0.
+    """
+    m, big = np.minimum(s, c), np.maximum(s, c)
+    return (m * np.log1p(big / (1.0 + m)) + (1.0 + big) * np.log1p(m / (1.0 + big))
+            - np.log1p(m)) / c
+
+
 def _bc_value(params: SystemParams, h, theta):
-    alpha = derived_constants(params).alpha
-    t2 = np.tan(theta)**2
-    c2 = np.cos(theta)**2
-    s2 = np.sin(theta)**2
-    th2h2 = theta**2 * h**2
-    term1 = _log2_1p(alpha * c2 / th2h2) / s2
-    term2 = _log2_1p(alpha / th2h2) / t2
-    term3 = (alpha / (th2h2 * t2)) * np.log2(
-        (th2h2 + alpha * c2) / (th2h2 * c2 + alpha * c2))
-    return term1 - term2 + term3
+    s = derived_constants(params).alpha / (theta**2 * h**2)
+    return _disk_mean(s, np.tan(theta)**2) / LN2
 
 
 def _mac_value(params: SystemParams, h, theta):
-    eta = derived_constants(params).eta
-    t2 = np.tan(theta)**2
-    th2 = theta**2
-    c2 = np.cos(theta)**2
-    term1 = _log2_1p(eta * np.sin(theta)**2 / th2) / c2
-    term2 = _log2_1p(eta * t2 / th2)
-    term3 = (eta * t2 / th2) * _log2_1p(th2 * t2 / (th2 + eta * t2))
-    value = (term1 - term2 + term3) / t2
+    c = np.tan(theta)**2
+    value = _disk_mean(derived_constants(params).eta * c / theta**2, c) / LN2
     # the integral does not depend on h, which only sets the broadcast shape
     if h.ndim:
         value = np.broadcast_to(value, np.broadcast_shapes(h.shape, theta.shape)).copy()

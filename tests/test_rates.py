@@ -1,20 +1,20 @@
 """Closed-form throughput expressions for the three multiuser modes.
 
-The closed forms are checked against frozen spot values and, for the two
-integral-derived expressions (broadcast and multiple access), against an
-independent adaptive quadrature of the radial integrand.
+The closed forms are checked against frozen spot values and against a
+40-digit mpmath oracle over the whole model domain: the exact antiderivative
+of the disk mean for broadcast and multiple access, the edge-rate product for
+multicast, and, at a few points, adaptive quadrature of the raw radial
+integrand.
 """
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from uavcell import (DeploymentVars, cell_edge_rate_mc, coverage_radius, derived_constants,
                      rate_value)
 from conftest import make_params
-
-LN2 = math.log(2.0)
 
 
 def test_rate_frozen_values(params):
@@ -22,7 +22,7 @@ def test_rate_frozen_values(params):
     assert rate_value("mc", params, *p10) == pytest.approx(
         199.2356605492261, rel=1e-12)
     assert rate_value("bc", params, *p10) == pytest.approx(
-        14.598757632445233, rel=1e-12)
+        14.598757632393932, rel=1e-12)
     assert rate_value("mac", params, *p10) == pytest.approx(
         12.006856543308997, rel=1e-12)
     assert rate_value("bc", params, 500.0, 1.0) == pytest.approx(
@@ -72,34 +72,65 @@ def test_one_bad_element_raises(params, h, theta):
             rate_value(mode, params, np.asarray(h), np.asarray(theta))
 
 
-def _disk_average_rate(params, h, theta, snr_of_r):
-    """(2/rbar^2) * int_0^rbar r log2(1+snr(r)) dr, the per-terminal mean."""
-    rbar = h * math.tan(theta)
-    val, err = quad(lambda r: r * math.log1p(snr_of_r(r)) / LN2, 0.0, rbar,
-                    limit=200)
-    assert err < 1e-9 * abs(val)
-    return 2.0 * val / rbar**2
+# H from 1 m to 1e7 m and theta from 1e-4 to pi/2 - 1e-3, dense near both ends
+ORACLE_H = np.logspace(0.0, 7.0, 15)
+ORACLE_THETA = np.concatenate([np.geomspace(1e-4, 1.0, 13),
+                               np.linspace(1.2, math.pi / 2 - 1e-3, 6)])
+QUAD_POINTS = ((100.0, math.pi / 10), (500.0, 1.0), (60.0, 0.08))
 
 
-def test_bc_closed_form_matches_quadrature(params):
-    alpha = derived_constants(params).alpha
-    for h, theta in ((100.0, math.pi / 10), (500.0, 1.0), (60.0, 0.08)):
-        oracle = _disk_average_rate(
-            params, h, theta,
-            lambda r: alpha / (theta**2 * (h**2 + r**2)))
-        got = rate_value("bc", params, h, theta)
-        assert got == pytest.approx(oracle, rel=1e-8)
+def _snr_scale(mode, params, h, theta):
+    """(s, c) in mpmath, with SNR(r) = s / (1 + u) for u = (r/H)^2 in [0, c]."""
+    dc = derived_constants(params)
+    h, theta = mpmath.mpf(h), mpmath.mpf(theta)
+    c = mpmath.tan(theta)**2
+    s = dc.eta * c / theta**2 if mode == "mac" else dc.alpha / (theta * h)**2
+    return s, c
 
 
-def test_mac_closed_form_matches_quadrature(params):
-    eta = derived_constants(params).eta
-    for h, theta in ((100.0, math.pi / 10), (500.0, 1.0), (60.0, 0.08)):
-        t2 = math.tan(theta)**2
-        oracle = _disk_average_rate(
-            params, h, theta,
-            lambda r: eta * h**2 * t2 / (theta**2 * (h**2 + r**2)))
-        got = rate_value("mac", params, h, theta)
-        assert got == pytest.approx(oracle, rel=1e-8)
+def _oracle(mode, params, h, theta):
+    s, c = _snr_scale(mode, params, h, theta)
+    if mode == "mc":
+        # expected hexagon population times the rate at the edge, u = c
+        k_hex = 1.5 * mpmath.sqrt(3) * params.density_per_m2 * mpmath.mpf(h)**2 * c
+        return k_hex * mpmath.log1p(s / (1 + c)) / mpmath.log(2)
+
+    def f(y):
+        return (1 + y) * mpmath.log1p(y)
+    # c times the disk mean of ln(1 + s/(1+u)), by its antiderivative
+    return (f(s + c) - f(s) - f(c)) / (c * mpmath.log(2))
+
+
+@pytest.mark.parametrize("rho", [1e-5, 5e-3, 1.0])
+@pytest.mark.parametrize("mode", ["mc", "bc", "mac"])
+def test_closed_forms_match_high_precision_oracle(mode, rho):
+    params = make_params(rho=rho)
+    got = rate_value(mode, params, ORACLE_H[:, None], ORACLE_THETA[None, :])
+    with mpmath.workdps(40):
+        for (i, j), value in np.ndenumerate(got):
+            oracle = _oracle(mode, params, ORACLE_H[i], ORACLE_THETA[j])
+            assert abs(value - oracle) <= 1e-12 * oracle, (ORACLE_H[i], ORACLE_THETA[j])
+
+
+@pytest.mark.parametrize("mode", ["bc", "mac"])
+@pytest.mark.parametrize("h, theta", QUAD_POINTS)
+def test_disk_mean_matches_radial_quadrature(params, mode, h, theta):
+    # independent of the (s, c) reduction: the raw integrand r log(1 + SNR(r))
+    dc = derived_constants(params)
+    with mpmath.workdps(40):
+        hm, tm = mpmath.mpf(h), mpmath.mpf(theta)
+        rbar = hm * mpmath.tan(tm)
+        power = dc.alpha if mode == "bc" else dc.eta * rbar**2
+        integral = mpmath.quad(
+            lambda r: r * mpmath.log1p(power / (tm**2 * (hm**2 + r**2))), [0, rbar])
+        oracle = 2 * integral / (rbar**2 * mpmath.log(2))
+    assert rate_value(mode, params, h, theta) == pytest.approx(float(oracle), rel=1e-12)
+
+
+def test_bc_is_zero_when_the_snr_underflows():
+    # alpha / (theta^2 H^2) underflows to 0 here; the rate is 0, not 0/0
+    faint = make_params(p_downlink_w=1e-310)
+    assert rate_value("bc", faint, 1e12, 1.5) == 0.0
 
 
 def test_mac_is_altitude_free(params):
