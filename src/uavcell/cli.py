@@ -126,6 +126,8 @@ def _parse_range(text: str):
         n = int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"range: expected LO:HI:N with numeric fields, got {text!r}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"range: LO and HI must be finite, got {text!r}")
     if n < 2:
         raise ConfigError(f"range: need at least 2 points, got {n}")
     if not lo < hi:
@@ -188,8 +190,8 @@ def cmd_sweep(cfg: Config, args, out_dir: Path, seed: int) -> int:
         if not (lo > 0.0 and hi < math.pi / 2):
             raise ConfigError(f"range: theta sweep must lie inside (0, pi/2), got {lo}:{hi}")
         fixed = args.fixed_h if args.fixed_h is not None else (cfg.h_min_m + cfg.h_max_m) / 2
-        if fixed <= 0.0:
-            raise ConfigError(f"fixed-h: must be > 0, got {fixed}")
+        if not 0.0 < fixed < math.inf:
+            raise ConfigError(f"fixed-h: must be finite and > 0, got {fixed}")
     else:
         if lo <= 0.0:
             raise ConfigError(f"range: altitude sweep must be positive, got {lo}:{hi}")
@@ -228,6 +230,12 @@ def cmd_sweep(cfg: Config, args, out_dir: Path, seed: int) -> int:
 def cmd_simulate(cfg: Config, args, out_dir: Path, seed: int) -> int:
     if not (math.isfinite(args.gap_tol) and args.gap_tol >= 0.0):
         raise ConfigError(f"--gap-tol: must be finite and >= 0, got {args.gap_tol}")
+    for flag, value, keys, lo, hi in (
+            ("--altitude", args.altitude, "h_min_m, h_max_m", cfg.h_min_m, cfg.h_max_m),
+            ("--theta", args.theta, "theta_min_rad, theta_max_rad", cfg.theta_min_rad,
+             cfg.theta_max_rad)):
+        if value is not None and not lo <= value <= hi:
+            raise ConfigError(f"{flag}: must lie in [{keys}] = [{lo}, {hi}], got {value}")
     params = cfg.system_params()
     altitude = args.altitude if args.altitude is not None else (cfg.h_min_m + cfg.h_max_m) / 2
     theta = args.theta if args.theta is not None else (cfg.theta_min_rad + cfg.theta_max_rad) / 2

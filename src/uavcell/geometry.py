@@ -113,14 +113,9 @@ class GtRealization:
 
 
 class Workspace:
-    """Named scratch arrays, each grown past the largest size asked for and
-    then reused, so that drawing block after block allocates nothing.
-
-    An array grows with 1/8 headroom: Poisson block totals creep up by a
-    few per cent, and growing each time to the exact size left freed
-    chunks in the heap that raised the benchmark's peak RSS by 0.1 to 0.2
-    MB.
-    """
+    """Named scratch arrays, each grown to the largest size asked for and
+    then reused, so that drawing chunk after chunk allocates nothing. A
+    simulation's first chunk is its largest, so its arrays never regrow."""
 
     def __init__(self):
         self._arrays = {}
@@ -129,7 +124,7 @@ class Workspace:
         """The first size elements of the array called name."""
         buf = self._arrays.get(name)
         if buf is None or len(buf) < size:
-            buf = self._arrays[name] = np.empty(size + size // 8, dtype)
+            buf = self._arrays[name] = np.empty(size, dtype)
         return buf[:size]
 
 

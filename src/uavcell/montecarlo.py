@@ -6,16 +6,14 @@ the cell center, which the sampler draws directly, without positions; the
 empirical mean over realizations is compared against the analytic
 expression.
 
-A call draws from one random stream per seed, in a fixed order. Cells
-expecting at most BLOCK_TERMINALS terminals are drawn in blocks of whole
-realizations, about BLOCK_TERMINALS expected terminals each, each block's
-counts first and then its terminals. A larger realization has its count
-drawn first, then its terminals in chunks of at most BLOCK_TERMINALS, and
-its statistic (the largest r^2 for mc, the sum of ln(1 + SNR) for bc and
-mac) is reduced across the chunks. Every block and chunk is drawn into one
-workspace per call, so memory is bounded by BLOCK_TERMINALS, not by the
-cell. Results are bit-reproducible for a fixed seed, but realization i
-depends on the realization count and on BLOCK_TERMINALS, not on (seed, i)
+A call draws from one random stream per seed: every realization's count
+first, then all terminals back to back in chunks of BLOCK_TERMINALS (the
+last one shorter), where a chunk may start or end inside a realization.
+Each realization's statistic (the largest r^2 for mc, the sum of
+ln(1 + SNR) for bc and mac) is reduced across the chunks it touches. Every
+chunk is drawn into one workspace per call, so memory is bounded by
+BLOCK_TERMINALS, not by the cell. Results are bit-reproducible for a fixed
+seed, but realization i depends on the realization count, not on (seed, i)
 alone.
 """
 from __future__ import annotations
@@ -33,12 +31,12 @@ from .rates import BC, MAC, MC, MODES, LN2, cell_edge_rate_mc, rate_value
 
 _REGION_FOR_MODE = {MC: HEXAGON, BC: DISK, MAC: DISK}
 
-# expected terminals drawn at once: whole realizations share a block up to
-# this size, and a larger realization is drawn in chunks of at most this
-# size. It sets the peak memory of a call, 0.3 to 0.4 MB. In-process passes
-# over the benchmark's Monte Carlo points took 1.66x to 1.76x, 1.09x to
-# 1.22x, 0.85x to 0.86x and 0.85x to 0.89x as long with 2048, 4096, 16384
-# and 32768 (two runs on a 2-core x86 VM); 16384 would double the peak.
+# terminals drawn at once, whole realizations or pieces of them. It sets
+# the peak memory of a call, about 0.3 MB. In-process passes over the
+# benchmark's Monte Carlo points took 1.7x to 2.2x, 1.2x to 1.4x, 0.90x to
+# 0.97x and 0.85x to 1.0x as long with 2048, 4096, 16384 and 32768
+# (medians and minima of 15 interleaved passes, two runs, on a 2-core x86
+# VM); 16384 would double the peak.
 BLOCK_TERMINALS = 8192
 
 # expected terminals that one command may draw, over all its realizations
@@ -49,9 +47,9 @@ MAX_SIM_TERMINALS = 10**8
 
 # realizations that one command may simulate, over all its sweep rows (the
 # CLI exits 2 above it). A realization holds about 39 B until its simulate
-# call returns and costs about 0.2 us, whatever its cell: 1e6 realizations
-# of half a terminal took 0.16 to 0.19 s and peaked at 74 MB RSS, against
-# 35 MB for 100.
+# call returns and costs about 0.12 us, whatever its cell: 1e6 realizations
+# of half a terminal took 0.10 to 0.17 s and peaked at 75 MB RSS, against
+# 36 MB for 100, on a 2-core x86 VM.
 MAX_SIM_REALIZATIONS = 10**6
 
 
@@ -95,29 +93,26 @@ def expected_terminals(params: SystemParams, vars: DeploymentVars, spec: SimSpec
                                            _REGION_FOR_MODE[spec.mode])
 
 
-def _partials(mode: str, block: GtRealization, full_counts: np.ndarray,
+def _partials(mode: str, chunk: GtRealization, full_counts: np.ndarray,
               params: SystemParams, vars: DeploymentVars, ws: Workspace) -> np.ndarray:
-    """What each realization of a block adds to its statistic: the largest
+    """What each realization of a chunk adds to its statistic: the largest
     r^2 for mc, the sum of ln(1 + SNR) over its terminals for bc and mac.
 
-    A block holds whole realizations, or one chunk of a larger one.
-    full_counts are the realizations' whole counts, which set mac's 1/n
-    bandwidth share.
+    chunk.counts are each realization's terminals in the chunk, and
+    full_counts its whole count, which sets mac's 1/n bandwidth share.
     """
-    counts = block.counts
+    counts = chunk.counts
     partial = np.zeros(len(counts))
     filled = counts > 0
-    if not filled.any():
-        return partial
     # reduceat needs strictly in-range starts, so empty realizations are
     # left out; each remaining start is the first of its terminals
     starts = (np.cumsum(counts) - counts)[filled]
     if mode == MC:
-        partial[filled] = np.maximum.reduceat(block.r2, starts)
+        partial[filled] = np.maximum.reduceat(chunk.r2, starts)
         return partial
     theta2 = vars.half_beamwidth_rad**2
     consts = derived_constants(params)
-    snr = np.add(block.r2, vars.altitude_m**2, out=ws.array("snr", len(block.r2)))
+    snr = np.add(chunk.r2, vars.altitude_m**2, out=ws.array("snr", len(chunk.r2)))
     if mode == BC:
         snr *= theta2
         np.divide(consts.alpha, snr, out=snr)
@@ -149,48 +144,30 @@ def _values(mode: str, stats: np.ndarray, counts: np.ndarray, params: SystemPara
     return values
 
 
-def _draws(layout: CellLayout, region: str, density: float, spec: SimSpec, ws: Workspace):
-    """Every sample_gts call of a simulation, in stream order, as (index of
-    its first realization, the block drawn, the whole counts of its
-    realizations).
-
-    Whole realizations share a block up to BLOCK_TERMINALS expected
-    terminals. A realization expected to be larger has its count drawn
-    first, then its terminals in chunks of at most BLOCK_TERMINALS.
-    """
-    rng = np.random.default_rng(spec.seed)
-    mean = _mean_count(layout, region)
-    if mean <= BLOCK_TERMINALS:
-        # a cell expecting under one terminal still gets bounded blocks
-        per_block = max(1, int(BLOCK_TERMINALS / max(mean, 1.0)))
-        for first in range(0, spec.realizations, per_block):
-            block = sample_gts(layout, region, rng, density, count_model=spec.count_model,
-                               realizations=min(per_block, spec.realizations - first),
-                               workspace=ws)
-            yield first, block, block.counts
-        return
-    for index in range(spec.realizations):
-        count = draw_counts(rng, mean, spec.count_model, 1)
-        for start in range(0, int(count[0]), BLOCK_TERMINALS):
-            chunk = np.minimum(count - start, BLOCK_TERMINALS)
-            yield index, sample_gts(layout, region, rng, density, counts=chunk,
-                                    workspace=ws), count
-
-
 def simulate_rate(params: SystemParams, vars: DeploymentVars,
                   spec: SimSpec) -> SimResult:
     analytic = rate_value(spec.mode, params, vars.altitude_m, vars.half_beamwidth_rad)
     layout = make_layout(params, vars)
     region = _REGION_FOR_MODE[spec.mode]
+    rng = np.random.default_rng(spec.seed)
+    counts = draw_counts(rng, _mean_count(layout, region), spec.count_model, spec.realizations)
+    ends = np.cumsum(counts)
+    total = int(ends[-1])
     reduce = np.maximum if spec.mode == MC else np.add
     stats = np.zeros(spec.realizations)
-    counts = np.zeros(spec.realizations, dtype=np.int64)
     ws = Workspace()
-    for first, block, full_counts in _draws(layout, region, params.density_per_m2, spec, ws):
-        span = slice(first, first + len(full_counts))
-        counts[span] = full_counts
-        reduce(stats[span], _partials(spec.mode, block, full_counts, params, vars, ws),
+    for start in range(0, total, BLOCK_TERMINALS):
+        stop = min(start + BLOCK_TERMINALS, total)
+        # the realizations holding terminals start and stop - 1, and the
+        # empty ones between them
+        span = slice(np.searchsorted(ends, start, side="right"),
+                     np.searchsorted(ends, stop) + 1)
+        in_chunk = np.minimum(ends[span], stop) - np.maximum(ends[span] - counts[span], start)
+        chunk = sample_gts(layout, region, rng, params.density_per_m2, counts=in_chunk,
+                           workspace=ws)
+        reduce(stats[span], _partials(spec.mode, chunk, counts[span], params, vars, ws),
                out=stats[span])
+    del ends  # as large as stats, and no longer needed
     values = _values(spec.mode, stats, counts, params, vars)
     mean = float(np.mean(values))
     return SimResult(

@@ -246,6 +246,41 @@ def test_sweep_range_validation(cfg_path, tmp_path, capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize("text", ["1:inf:3", "-inf:500:3", "nan:500:3", "100:nan:3"])
+def test_sweep_non_finite_range_named(cfg_path, tmp_path, capsys, text):
+    # an infinite HI once gave a numpy warning, then a nan altitude error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(cfg_path, tmp_path, "sweep", "--mode", "mc", "--var", "h",
+                   f"--range={text}") == 2
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("config error: range: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("fixed_h", ["nan", "inf", "-inf", "0"])
+def test_sweep_bad_fixed_h_named(cfg_path, tmp_path, capsys, fixed_h):
+    assert run(cfg_path, tmp_path, "sweep", "--mode", "mc", "--var", "theta",
+               "--range", "0.1:0.5:3", f"--fixed-h={fixed_h}") == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: fixed-h: must be finite and > 0, got {float(fixed_h)}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag, value, keys", [
+    ("--altitude", "1000", "h_min_m, h_max_m"),
+    ("--altitude", "nan", "h_min_m, h_max_m"),
+    ("--theta", "1e-9", "theta_min_rad, theta_max_rad"),
+])
+def test_simulate_point_outside_the_box_named(cfg_path, tmp_path, capsys, flag, value, keys):
+    assert run(cfg_path, tmp_path, "simulate", "--mode", "bc", f"{flag}={value}") == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {flag}: must lie in [{keys}] = ")
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+
+
 def test_simulate_report_and_csv(cfg_path, tmp_path, capsys):
     assert run(cfg_path, tmp_path, "simulate", "--mode", "bc",
                "--altitude", "500", "--theta", str(math.pi / 10), "--csv") == 0

@@ -227,7 +227,7 @@ def test_r2_cdf_matches_the_region_areas():
 
 @pytest.mark.parametrize("region", [DISK, HEXAGON])
 def test_sampling_into_a_warm_workspace_allocates_nothing(params, one_cell, region):
-    # a block of BLOCK_TERMINALS terminals into a workspace that has held
+    # a chunk of BLOCK_TERMINALS terminals into a workspace that has held
     # one: only small objects are made, and positions are not built until
     # read
     ws, rng = Workspace(), np.random.default_rng(6)

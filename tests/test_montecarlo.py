@@ -93,16 +93,8 @@ def _loop_reference(mode, params, point, positions, counts):
     return np.array(values)
 
 
-# (H, theta, realizations): about one terminal per cell, so that many
-# realizations are empty; about 1,000, several realizations per block;
-# more than BLOCK_TERMINALS, two chunks per realization; more than twice
-# BLOCK_TERMINALS, three chunks
-LOOP_POINTS = ((40.0, 0.2, 300), (300.0, 0.7, 20), (600.0, 1.0, 3), (800.0, 1.0, 3))
-
-
-@pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("h, theta, realizations", LOOP_POINTS)
-def test_block_values_match_a_loop(params, monkeypatch, mode, h, theta, realizations):
+def _recorded_run(monkeypatch, params, point, spec):
+    """simulate_rate's result and a copy of each of its sample_gts draws."""
     draws = []
 
     def record(*args, **kwargs):
@@ -114,42 +106,62 @@ def test_block_values_match_a_loop(params, monkeypatch, mode, h, theta, realizat
         return real
 
     monkeypatch.setattr(montecarlo, "sample_gts", record)
-    point = DeploymentVars.point(h, theta)
-    res = simulate_rate(params, point, SimSpec(mode=mode, realizations=realizations, seed=9))
+    return simulate_rate(params, point, spec), draws
+
+
+def _check_against_loop(mode, params, point, res, draws):
     counts = res.gt_counts
+    # every draw but the last is one full chunk, and together they hold
+    # every realization's terminals
+    sizes = [len(draw.r2) for draw in draws]
+    assert all(size == montecarlo.BLOCK_TERMINALS for size in sizes[:-1])
+    assert sum(sizes) == counts.sum()
     positions = np.concatenate([draw.positions for draw in draws])
-    assert len(positions) == counts.sum()
     # the same float64 terms, summed in another order (seen: 7e-16)
     np.testing.assert_allclose(res.per_realization,
                                _loop_reference(mode, params, point, positions, counts),
                                rtol=1e-12, atol=0.0)
-    area_per_r2 = 1.5 * SQRT3 if mode == "mc" else math.pi  # hexagon or disk
-    expected = params.density_per_m2 * area_per_r2 * (h * math.tan(theta))**2
+
+
+# (H, theta, realizations): about one terminal per cell, so that many
+# realizations are empty; about 1,000, many realizations per chunk; more
+# than BLOCK_TERMINALS, so that every realization spans a chunk edge; more
+# than twice BLOCK_TERMINALS, so that some realization holds a whole chunk
+LOOP_POINTS = ((40.0, 0.2, 300), (300.0, 0.7, 20), (600.0, 1.0, 3), (800.0, 1.0, 3))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("h, theta, realizations", LOOP_POINTS)
+def test_block_values_match_a_loop(params, monkeypatch, mode, h, theta, realizations):
+    point = DeploymentVars.point(h, theta)
+    res, draws = _recorded_run(monkeypatch, params, point,
+                               SimSpec(mode=mode, realizations=realizations, seed=9))
+    _check_against_loop(mode, params, point, res, draws)
+    counts = res.gt_counts
     block = montecarlo.BLOCK_TERMINALS
-    if expected <= block:
-        # whole realizations per block, a block over BLOCK_TERMINALS only alone
-        assert np.array_equal(np.concatenate([draw.counts for draw in draws]), counts)
-        assert all(len(draw.counts) == 1 or len(draw.counts) * expected <= block
-                   for draw in draws)
-    else:
-        # one realization at a time, in chunks of at most BLOCK_TERMINALS
-        # that add up to its count
-        sizes = [len(draw.positions) for draw in draws]
-        assert all(len(draw.counts) == 1 for draw in draws)
-        assert max(sizes) <= block
-        chunks = iter(sizes)
-        for n in counts.tolist():
-            drawn = 0
-            while drawn < n:
-                drawn += next(chunks)
-            assert drawn == n
-        assert next(chunks, None) is None
     if h == 40.0:
         assert (counts == 0).sum() > 10
     if h == 600.0:
         assert counts.min() > block
     if h == 800.0:
         assert counts.min() > 2 * block
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_chunk_edges_match_a_loop(params, monkeypatch, mode):
+    # empty realizations at a chunk edge, the first chunk ending exactly on
+    # a realization's end, the second ending on the last filled one, and a
+    # trailing empty realization
+    block = montecarlo.BLOCK_TERMINALS
+    fixed = np.array([block, 0, 5, 0, block - 5, 0])
+    monkeypatch.setattr(montecarlo, "draw_counts", lambda *args: fixed.copy())
+    point = DeploymentVars.point(300.0, 0.7)
+    res, draws = _recorded_run(monkeypatch, params, point,
+                               SimSpec(mode=mode, realizations=len(fixed), seed=9))
+    assert np.array_equal(res.gt_counts, fixed)
+    assert [draw.counts.tolist() for draw in draws] == [[block], [5, 0, block - 5]]
+    _check_against_loop(mode, params, point, res, draws)
+    assert res.per_realization[[1, 3, 5]].tolist() == [0.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize("mode", MODES)

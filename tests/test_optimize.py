@@ -4,10 +4,12 @@ import importlib
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from conftest import make_params
 from uavcell import DeploymentVars, optimize, optimize_2d_grid, rate_value, search_1d
 from uavcell.optimize import SCAN_POINTS
 
@@ -124,6 +126,33 @@ def test_optimize_mac_beamwidth(params, box):
         options={"xatol": 1e-10})
     assert res.theta_star_rad == pytest.approx(oracle.x, abs=2e-4)
     assert res.objective_bps_hz == pytest.approx(-oracle.fun, rel=1e-8)
+
+
+# the high-SNR limit of the uplink optimum: with c = tan^2(theta), the mac
+# rate tends to log2(eta) + [ln(tan^2(theta)/theta^2) - ((1+c) ln(1+c) - c)/c]
+# / ln 2 as eta grows, and theta_inf is the root of the bracket's derivative
+THETA_INF = 1.3238999372696646
+
+
+def test_uplink_limit_is_the_high_snr_root():
+    def bracket(t):
+        c = mpmath.tan(t)**2
+        return mpmath.log(c / t**2) - ((1 + c) * mpmath.log1p(c) - c) / c
+
+    with mpmath.workdps(30):
+        root = mpmath.findroot(lambda t: mpmath.diff(bracket, t), 1.32)
+    assert float(root) == pytest.approx(THETA_INF, rel=1e-15)
+
+
+def test_uplink_optimum_falls_toward_its_limit(box):
+    # theta* falls with the density and ends within the search tolerance
+    # of the limit (1.3238831 seen at rho = 1e6)
+    tol = 1e-4
+    densities = (1e-5, 1e-4, 1e-3, 5e-3, 1e-2, 0.1, 1.0, 1e2, 1e4, 1e6)
+    thetas = [optimize("mac", make_params(rho=rho), box, tol=tol).theta_star_rad
+              for rho in densities]
+    assert all(later <= earlier for earlier, later in zip(thetas, thetas[1:])), thetas
+    assert abs(thetas[-1] - THETA_INF) <= tol
 
 
 def test_optimizer_never_beats_its_own_trace(params, box):
