@@ -18,14 +18,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import Config, ConfigError, load_config
+from .config import SNR_SCALE_KEYS, Config, ConfigError, load_config
 from .geometry import coverage_radius  # unused; perfbench/spans.py wraps it here
 from .mission import PlanTooLarge, assemble_plan
 from .montecarlo import (MAX_SIM_REALIZATIONS, MAX_SIM_TERMINALS, SimSpec, expected_terminals,
                          simulate_rate)
 from .optimize import optimize
 from .params import DeploymentVars
-from .rates import MC, MODES, rate_value
+from .rates import MAC, MC, MODES, rate_value
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -135,6 +135,13 @@ def _parse_range(text: str):
     return lo, hi, n
 
 
+def _midpoint(lo: float, hi: float) -> float:
+    """The middle of [lo, hi], finite for any finite bounds: the default
+    operating point. Where (lo + hi) / 2 does not overflow and both bounds
+    are normal floats, it is the same float."""
+    return lo / 2 + hi / 2
+
+
 def _sim_spec(args, seed: int, params, points) -> SimSpec:
     """The simulation of each operating point in points, within the
     realization cap and the terminal budget of the whole command."""
@@ -189,14 +196,14 @@ def cmd_sweep(cfg: Config, args, out_dir: Path, seed: int) -> int:
     if args.var == "theta":
         if not (lo > 0.0 and hi < math.pi / 2):
             raise ConfigError(f"range: theta sweep must lie inside (0, pi/2), got {lo}:{hi}")
-        fixed = args.fixed_h if args.fixed_h is not None else (cfg.h_min_m + cfg.h_max_m) / 2
+        fixed = args.fixed_h if args.fixed_h is not None else _midpoint(cfg.h_min_m, cfg.h_max_m)
         if not 0.0 < fixed < math.inf:
             raise ConfigError(f"fixed-h: must be finite and > 0, got {fixed}")
     else:
         if lo <= 0.0:
             raise ConfigError(f"range: altitude sweep must be positive, got {lo}:{hi}")
         fixed = (args.fixed_theta if args.fixed_theta is not None
-                 else (cfg.theta_min_rad + cfg.theta_max_rad) / 2)
+                 else _midpoint(cfg.theta_min_rad, cfg.theta_max_rad))
         if not 0.0 < fixed < math.pi / 2:
             raise ConfigError(f"fixed-theta: must lie inside (0, pi/2), got {fixed}")
 
@@ -237,11 +244,16 @@ def cmd_simulate(cfg: Config, args, out_dir: Path, seed: int) -> int:
         if value is not None and not lo <= value <= hi:
             raise ConfigError(f"{flag}: must lie in [{keys}] = [{lo}, {hi}], got {value}")
     params = cfg.system_params()
-    altitude = args.altitude if args.altitude is not None else (cfg.h_min_m + cfg.h_max_m) / 2
-    theta = args.theta if args.theta is not None else (cfg.theta_min_rad + cfg.theta_max_rad) / 2
+    altitude = args.altitude if args.altitude is not None else _midpoint(cfg.h_min_m, cfg.h_max_m)
+    theta = (args.theta if args.theta is not None
+             else _midpoint(cfg.theta_min_rad, cfg.theta_max_rad))
     vars = cfg.deployment_box().at(altitude_m=altitude, half_beamwidth_rad=theta)
     spec = _sim_spec(args, seed, params, [vars])
     result = simulate_rate(params, vars, spec)
+    if result.analytic_bps_hz == 0.0:
+        keys = "/".join(SNR_SCALE_KEYS["eta" if args.mode == MAC else "alpha"])
+        raise ConfigError(f"{keys}: the {args.mode} closed form underflows to 0 at altitude "
+                          f"{altitude}, half-beamwidth {theta}, so the gap to it is undefined")
     stderr = result.empirical_stderr_bps_hz
     _report([
         ("mode", result.mode),

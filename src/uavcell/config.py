@@ -61,7 +61,7 @@ _REQUIRED = ("beta0", "bandwidth_hz", *_DBM, "density_per_m2", "h_min_m", "h_max
 _OPTIONAL_POSITIVE = ("area_width_m", "area_height_m", "file_size_bits", "period_s",
                       "uav_speed_mps")
 # the keys each derived SNR scale depends on
-_SNR_SCALE_KEYS = {
+SNR_SCALE_KEYS = {
     "alpha": ("p_downlink_dbm", "beta0", "noise_psd_dbm_hz", "bandwidth_hz"),
     "eta": ("p_uplink_dbm", "beta0", "noise_psd_dbm_hz", "bandwidth_hz", "density_per_m2"),
 }
@@ -153,7 +153,7 @@ def _validate(cfg: Config):
     try:
         derived_constants(cfg.system_params())
     except DerivedConstantError as exc:
-        keys = _SNR_SCALE_KEYS[exc.name]
+        keys = SNR_SCALE_KEYS[exc.name]
         values = ", ".join(f"{key}={getattr(cfg, key)}" for key in keys)
         raise ConfigError(f"{'/'.join(keys)}: {exc} ({values})") from exc
     if cfg.h_min_m > cfg.h_max_m:

@@ -4,6 +4,12 @@ The covered ground region at altitude H with half-beamwidth theta is a disk
 of radius rbar = H*tan(theta). For tessellation the serviced cell is the
 regular hexagon inscribed in that disk, with one vertex on the positive
 x axis relative to the cell center.
+
+Terminals are sampled for what the Monte Carlo estimators read, each
+terminal's squared distance r^2 from the center: one uniform per disk
+terminal, two per hexagon terminal. The one more uniform a position needs
+comes from a side stream, seeded by one draw per call, when the position
+is read.
 """
 from __future__ import annotations
 
@@ -85,28 +91,32 @@ class GtRealization:
     The realizations lie back to back: the first counts[0] terminals belong
     to realization 0, the next counts[1] to realization 1, and so on. Each
     terminal is stored as its squared ground distance r2 and the uniforms
-    it was drawn from, one row per variable (see _uniform_in_region).
+    r2 was computed from, one row per variable (see _uniform_in_region).
     Drawn into a Workspace, r2 and uniforms are views of its arrays, valid
-    until the next draw into it.
+    until the next draw into it. The uniform that only positions read comes
+    from a side stream seeded by side_seed.
     """
 
     counts: np.ndarray    # terminals per realization
     r2: np.ndarray        # squared ground distance of each terminal, m^2
     region: str
     circumradius_m: float
-    uniforms: np.ndarray  # shape (2, n) for the disk, (3, n) for the hexagon
+    uniforms: np.ndarray  # shape (1, n) for the disk, (2, n) for the hexagon
+    side_seed: int        # seed of the stream that positions draw W from
 
     @property
     def positions(self) -> np.ndarray:
-        """Terminal positions, shape (n, 2) in meters, built from the
-        uniforms in fresh arrays on every read."""
+        """Terminal positions, shape (n, 2) in meters, built in fresh arrays
+        on every read from the uniforms and one uniform W per terminal,
+        drawn from the side stream: the disk's angle as a fraction of a
+        turn, or the hexagon's rhombus floor(3W)."""
         rbar = self.circumradius_m
+        w = np.random.default_rng(self.side_seed).random(len(self.r2))
         if self.region == DISK:
-            u, w = self.uniforms
-            rho = rbar * np.sqrt(u)
+            rho = rbar * np.sqrt(self.uniforms[0])
             angle = 2.0 * math.pi * w
             return np.column_stack([rho * np.cos(angle), rho * np.sin(angle)])
-        u, v, w = self.uniforms
+        u, v = self.uniforms
         edges = rbar * _RHOMBUS_EDGES
         k = (3.0 * w).astype(np.intp)  # floor: 0 <= 3w < 3
         return u[:, None] * edges[k] + v[:, None] * edges[k + 1]
@@ -130,24 +140,24 @@ class Workspace:
 
 def _uniform_in_region(rng: np.random.Generator, region: str, rbar: float, count: int,
                        ws: Workspace):
-    """count points uniform in the region, as the uniforms they are drawn
-    from (one row per variable) and their squared distance r^2 from the
-    center, by inversion with no rejection.
+    """The squared distance r^2 from the center of count points uniform in
+    the region, and the uniforms it is computed from (one row per
+    variable), by inversion with no rejection.
 
-    The disk draws (U, W): r^2 = rbar^2*U inverts the distribution of the
-    squared distance, and W is the angle as a fraction of a turn. The
-    hexagon is three rhombi spanned by unit vectors 120 degrees apart; it
-    draws (U, V, W), puts the point U*a + V*b in rhombus floor(3W), and
-    has r^2 = rbar^2*(U^2 - U*V + V^2) in every rhombus, so W leaves r^2
-    alone. All uniforms come from one draw; only r^2 is computed here.
+    The disk draws U: r^2 = rbar^2*U inverts the distribution of the
+    squared distance. The hexagon is three rhombi spanned by unit vectors
+    120 degrees apart; it draws (U, V), the point U*a + V*b of a rhombus,
+    which has r^2 = rbar^2*(U^2 - U*V + V^2) in every rhombus, so the
+    choice of rhombus is left to the positions. All uniforms come from one
+    draw.
     """
-    rows = 2 if region == DISK else 3
+    rows = 1 if region == DISK else 2
     uniforms = rng.random(out=ws.array("uniforms", rows * count)).reshape(rows, count)
     r2 = ws.array("r2", count)
     if region == DISK:
         np.multiply(uniforms[0], rbar * rbar, out=r2)
     else:
-        u, v = uniforms[0], uniforms[1]
+        u, v = uniforms
         np.subtract(v, u, out=r2)
         r2 *= v
         r2 += np.multiply(u, u, out=ws.array("u2", count))
@@ -164,35 +174,24 @@ def draw_counts(rng: np.random.Generator, mean: float, count_model: str,
     return np.full(realizations, int(round(mean)))
 
 
-def sample_gts(layout: CellLayout, region: str, seed, density: float,
-               count_model: str = "poisson", realizations: int = 1, *,
-               counts=None, workspace: Workspace | None = None) -> GtRealization:
-    """Sample realizations of terminals in a cell.
+def sample_gts(layout: CellLayout, region: str, rng, counts: np.ndarray, *,
+               workspace: Workspace | None = None) -> GtRealization:
+    """Sample counts[i] terminals of realization i, i.i.d. uniform in the
+    region of the cell (draw the counts with draw_counts).
 
-    Each realization's count is Poisson with mean density*area by default,
-    or the rounded mean with count_model="fixed"; with counts given, no
-    count is drawn. Terminals are i.i.d. uniform in the region. seed is
-    anything np.random.default_rng accepts; a Generator is drawn from in
-    place. The counts are drawn first, then every realization's uniforms
-    in one call, so the result, positions included, is deterministic for a
-    given seed and realization count. The uniforms and r^2 are drawn into
-    workspace, or into fresh arrays without one; positions are built only
-    when read.
+    rng is anything np.random.default_rng accepts; a Generator is drawn
+    from in place: one 64-bit draw that seeds the side stream of the
+    positions, then one uniform per disk terminal or two per hexagon
+    terminal, into workspace or into fresh arrays without one. The result,
+    positions included, is a deterministic function of the stream, and
+    reading positions draws nothing from it.
     """
     if region not in REGIONS:
         raise ValueError(f"region must be one of {REGIONS}, got {region!r}")
-    if count_model not in ("poisson", "fixed"):
-        raise ValueError(f"count_model must be 'poisson' or 'fixed', got {count_model!r}")
-    if density <= 0.0:
-        raise ValueError(f"density must be > 0, got {density}")
-    if realizations < 1:
-        raise ValueError(f"need at least 1 realization, got {realizations}")
-    rng = np.random.default_rng(seed)
-    if counts is None:
-        area = layout.hex_area_m2 if region == HEXAGON else layout.disk_area_m2
-        counts = draw_counts(rng, density * area, count_model, realizations)
+    rng = np.random.default_rng(rng)
+    side_seed = rng.bit_generator.random_raw()
     rbar = layout.circumradius_m
     uniforms, r2 = _uniform_in_region(rng, region, rbar, int(counts.sum()),
                                       workspace or Workspace())
     return GtRealization(counts=counts, r2=r2, region=region, circumradius_m=rbar,
-                         uniforms=uniforms)
+                         uniforms=uniforms, side_seed=side_seed)

@@ -4,22 +4,24 @@ Each realization draws its terminals (and optionally a Poisson count) in
 one cell and evaluates the realized sum rate from their squared distances to
 the cell center, which the sampler draws directly, without positions; the
 empirical mean over realizations is compared against the analytic
-expression.
+expression, which is computed only when read.
 
 A call draws from one random stream per seed: every realization's count
 first, then all terminals back to back in chunks of BLOCK_TERMINALS (the
 last one shorter), where a chunk may start or end inside a realization.
-Each realization's statistic (the largest r^2 for mc, the sum of
-ln(1 + SNR) for bc and mac) is reduced across the chunks it touches. Every
-chunk is drawn into one workspace per call, so memory is bounded by
-BLOCK_TERMINALS, not by the cell. Results are bit-reproducible for a fixed
-seed, but realization i depends on the realization count, not on (seed, i)
-alone.
+A chunk takes one 64-bit seed for its positions' side stream, then one
+uniform per disk terminal or two per hexagon terminal. Each realization's
+statistic (the largest r^2 for mc, the sum of ln(1 + SNR) for bc and mac)
+is reduced across the chunks it touches. Every chunk is drawn into one
+workspace per call, so memory is bounded by BLOCK_TERMINALS, not by the
+cell. Results are bit-reproducible for a fixed seed, but realization i
+depends on the realization count, not on (seed, i) alone.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,24 +34,27 @@ from .rates import BC, MAC, MC, MODES, LN2, cell_edge_rate_mc, rate_value
 _REGION_FOR_MODE = {MC: HEXAGON, BC: DISK, MAC: DISK}
 
 # terminals drawn at once, whole realizations or pieces of them. It sets
-# the peak memory of a call, about 0.3 MB. In-process passes over the
-# benchmark's Monte Carlo points took 1.7x to 2.2x, 1.2x to 1.4x, 0.90x to
-# 0.97x and 0.85x to 1.0x as long with 2048, 4096, 16384 and 32768
-# (medians and minima of 15 interleaved passes, two runs, on a 2-core x86
-# VM); 16384 would double the peak.
-BLOCK_TERMINALS = 8192
+# the peak memory of a call, about 0.3 MB (bc) and 0.4 MB (mc, mac), and
+# keeps a chunk's largest array, the hexagon's two rows of uniforms, at the
+# 192 KiB that its three rows of 8192 took before. In-process passes over
+# the benchmark's Monte Carlo commands took 1.65x to 1.7x, 1.2x to 1.3x,
+# 1.0x to 1.07x, 0.96x to 0.98x and 0.91x to 1.0x as long with 2048, 4096,
+# 8192, 16384 and 32768 (minima of 15 interleaved passes, two runs, on a
+# 2-core x86 VM); in 30-s benchmark runs, 16384 read 0.1 to 0.4 MB more
+# peak RSS than 12288.
+BLOCK_TERMINALS = 12288
 
 # expected terminals that one command may draw, over all its realizations
 # and sweep rows (the CLI exits 2 above it): 100 realizations of 1e6
-# terminals took 1.4 to 2.4 s in each mode and peaked at 35 MB RSS on a
+# terminals took 0.8 to 1.4 s in each mode and peaked at 36 MB RSS on a
 # 2-core x86 VM
 MAX_SIM_TERMINALS = 10**8
 
 # realizations that one command may simulate, over all its sweep rows (the
 # CLI exits 2 above it). A realization holds about 39 B until its simulate
-# call returns and costs about 0.12 us, whatever its cell: 1e6 realizations
-# of half a terminal took 0.10 to 0.17 s and peaked at 75 MB RSS, against
-# 36 MB for 100, on a 2-core x86 VM.
+# call returns and costs 0.12 to 0.19 us, whatever its cell: 1e6
+# realizations of half a terminal took 0.12 to 0.19 s and peaked at 67 to
+# 72 MB RSS, against 35 MB for 100, on a 2-core x86 VM.
 MAX_SIM_REALIZATIONS = 10**6
 
 
@@ -74,13 +79,28 @@ class SimSpec:
 
 @dataclass(frozen=True)
 class SimResult:
+    """A simulation's realizations and their mean. The closed form, the
+    standard error and the gap between them are computed when first read."""
+
     mode: str
-    analytic_bps_hz: float
     empirical_mean_bps_hz: float
-    empirical_stderr_bps_hz: float
-    relative_gap: float
     per_realization: np.ndarray
     gt_counts: np.ndarray
+    params: SystemParams
+    vars: DeploymentVars
+
+    @cached_property
+    def analytic_bps_hz(self) -> float:
+        return rate_value(self.mode, self.params, self.vars.altitude_m,
+                          self.vars.half_beamwidth_rad)
+
+    @cached_property
+    def empirical_stderr_bps_hz(self) -> float:
+        return _stderr(self.per_realization)
+
+    @cached_property
+    def relative_gap(self) -> float:
+        return abs(self.empirical_mean_bps_hz - self.analytic_bps_hz) / self.analytic_bps_hz
 
 
 def _mean_count(layout: CellLayout, region: str) -> float:
@@ -114,8 +134,14 @@ def _partials(mode: str, chunk: GtRealization, full_counts: np.ndarray,
     consts = derived_constants(params)
     snr = np.add(chunk.r2, vars.altitude_m**2, out=ws.array("snr", len(chunk.r2)))
     if mode == BC:
-        snr *= theta2
-        np.divide(consts.alpha, snr, out=snr)
+        # alpha/theta^2 as one constant saves a pass over the terminals; it
+        # overflows only for alpha near the float maximum, where the SNR is
+        # divided in two steps, as the closed form does
+        scale = consts.alpha / theta2
+        if scale == math.inf:
+            snr *= theta2
+            scale = consts.alpha
+        np.divide(scale, snr, out=snr)
     else:  # MAC: each of the n terminals gets a 1/n bandwidth share
         share = full_counts[filled] * (consts.eta / (params.density_per_m2 * math.pi * theta2))
         np.divide(np.repeat(share, counts[filled]), snr, out=snr)
@@ -146,7 +172,6 @@ def _values(mode: str, stats: np.ndarray, counts: np.ndarray, params: SystemPara
 
 def simulate_rate(params: SystemParams, vars: DeploymentVars,
                   spec: SimSpec) -> SimResult:
-    analytic = rate_value(spec.mode, params, vars.altitude_m, vars.half_beamwidth_rad)
     layout = make_layout(params, vars)
     region = _REGION_FOR_MODE[spec.mode]
     rng = np.random.default_rng(spec.seed)
@@ -163,22 +188,13 @@ def simulate_rate(params: SystemParams, vars: DeploymentVars,
         span = slice(np.searchsorted(ends, start, side="right"),
                      np.searchsorted(ends, stop) + 1)
         in_chunk = np.minimum(ends[span], stop) - np.maximum(ends[span] - counts[span], start)
-        chunk = sample_gts(layout, region, rng, params.density_per_m2, counts=in_chunk,
-                           workspace=ws)
+        chunk = sample_gts(layout, region, rng, in_chunk, workspace=ws)
         reduce(stats[span], _partials(spec.mode, chunk, counts[span], params, vars, ws),
                out=stats[span])
     del ends  # as large as stats, and no longer needed
     values = _values(spec.mode, stats, counts, params, vars)
-    mean = float(np.mean(values))
-    return SimResult(
-        mode=spec.mode,
-        analytic_bps_hz=analytic,
-        empirical_mean_bps_hz=mean,
-        empirical_stderr_bps_hz=_stderr(values),
-        relative_gap=abs(mean - analytic) / analytic,
-        per_realization=values,
-        gt_counts=counts,
-    )
+    return SimResult(mode=spec.mode, empirical_mean_bps_hz=float(np.mean(values)),
+                     per_realization=values, gt_counts=counts, params=params, vars=vars)
 
 
 def _stderr(values: np.ndarray) -> float:

@@ -481,6 +481,73 @@ def test_overflowing_snr_scale_names_its_key(tmp_path, capsys):
     assert "alpha" in err and "altitude" not in err
 
 
+# beta0 = 1e-300 behind 100 dBm/Hz of noise: the mc and bc closed forms
+# underflow to exactly 0 at 1e6 m, and mac's at a 0.05 rad beamwidth with
+# p_uplink_dbm = 30
+FAINT = dict(BASE, beta0=1e-300, p_downlink_dbm=30.0, p_uplink_dbm=60.0,
+             noise_psd_dbm_hz=100.0, density_per_m2=1e-10, h_max_m=1e6, seed=1)
+ETA_KEYS = "p_uplink_dbm/beta0/noise_psd_dbm_hz/bandwidth_hz/density_per_m2"
+
+
+@pytest.mark.parametrize("mode, overrides, point, keys", [
+    ("mc", {}, ("1000000", "0.5"), ALPHA_KEYS),
+    ("bc", {}, ("1000000", "0.5"), ALPHA_KEYS),
+    ("mac", {"p_uplink_dbm": 30.0}, ("1000", "0.05"), ETA_KEYS),
+], ids=MODES)
+def test_simulate_underflowed_closed_form_named(tmp_path, capsys, mode, overrides, point, keys):
+    # the relative gap to a closed form of 0 is undefined: exit 2 naming
+    # the keys of the mode's SNR scale, and print no report
+    path = tmp_path / "faint.json"
+    path.write_text(json.dumps(dict(FAINT, **overrides)))
+    assert run(path, tmp_path, "simulate", "--mode", mode, "--altitude", point[0],
+               "--theta", point[1], "--realizations", "3") == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {keys}: the {mode} closed form underflows")
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+
+
+def test_sweep_with_sim_of_an_underflowed_closed_form(tmp_path, capsys):
+    # a sweep row reads only the empirical mean, so rows whose closed form
+    # is 0 are written as they are
+    path = tmp_path / "faint.json"
+    path.write_text(json.dumps(FAINT))
+    assert run(path, tmp_path, "sweep", "--mode", "bc", "--var", "h", "--range", "1e5:1e6:3",
+               "--fixed-theta", "0.5", "--with-sim", "--realizations", "2") == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = (tmp_path / "sweep_bc_h.csv").read_text().splitlines()[2:]
+    values = np.array([[float(cell) for cell in row.split(",")] for row in rows])
+    assert np.isfinite(values).all() and values[-1, 1] == 0.0
+
+
+# a deployment box near the float maximum, whose (h_min + h_max) / 2 overflows
+HUGE_BOX = dict(BASE, h_min_m=1e308, h_max_m=1.7e308)
+
+
+def test_default_altitude_of_a_huge_box_is_finite(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(HUGE_BOX))
+    assert run(path, tmp_path, "sweep", "--mode", "bc", "--var", "theta",
+               "--range", "0.1:0.5:3") == 0
+    captured = capsys.readouterr()
+    assert parse_report(captured.out)["fixed_h_m"] == repr(1e308 / 2 + 1.7e308 / 2)
+    # simulate refuses the huge cell by its terminal budget, naming its
+    # keys, not by an infinite altitude
+    assert run(path, tmp_path, "simulate", "--mode", "bc") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --realizations/density_per_m2: ")
+    assert "altitude" not in err
+
+
+def test_default_point_is_the_box_midpoint(cfg_path, tmp_path, capsys):
+    assert run(cfg_path, tmp_path, "simulate", "--mode", "mc", "--realizations", "2") == 0
+    report = parse_report(capsys.readouterr().out)
+    assert float(report["altitude_m"]) == (BASE["h_min_m"] + BASE["h_max_m"]) / 2
+    assert float(report["half_beamwidth_rad"]) == (BASE["theta_min_rad"]
+                                                   + BASE["theta_max_rad"]) / 2
+
+
 def test_negative_config_seed_exits_2(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(dict(BASE, seed=-3)))

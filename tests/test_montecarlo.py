@@ -8,7 +8,7 @@ import pytest
 
 from conftest import make_params
 from uavcell import (MODES, DeploymentVars, SimSpec, cell_edge_rate_mc, coverage_radius,
-                     geometry, montecarlo, simulate_rate, snr_mac, snr_mc)
+                     dbm_to_watts, geometry, montecarlo, simulate_rate, snr_mac, snr_mc)
 from uavcell.geometry import SQRT3
 
 
@@ -71,6 +71,17 @@ def test_mc_realizations_factorize(params):
     assert res.empirical_stderr_bps_hz > 0.0
 
 
+def test_bc_snr_scale_near_the_float_maximum():
+    # alpha = 4e307 over theta^2 = 0.0025 overflows as one constant, but
+    # not over theta^2 (H^2 + r^2): the realizations stay finite and match
+    # the closed form, about 1017 bps/Hz over some 1,200 terminals
+    loud = make_params(rho=15.0, p_downlink_w=dbm_to_watts(3012.0))
+    res = simulate_rate(loud, DeploymentVars.point(100.0, 0.05),
+                        SimSpec(mode="bc", realizations=20, seed=3))
+    assert np.isfinite(res.per_realization).all()
+    assert res.relative_gap < 1e-3
+
+
 def _loop_reference(mode, params, point, positions, counts):
     """Per-realization values by a plain loop over the realizations, from
     the positions and the per-terminal SNRs of the channel model."""
@@ -128,19 +139,28 @@ def _check_against_loop(mode, params, point, res, draws):
 # than BLOCK_TERMINALS, so that every realization spans a chunk edge; more
 # than twice BLOCK_TERMINALS, so that some realization holds a whole chunk
 LOOP_POINTS = ((40.0, 0.2, 300), (300.0, 0.7, 20), (600.0, 1.0, 3), (800.0, 1.0, 3))
+# expected hexagon terminals in BLOCK_TERMINALS at the last two points, set
+# by the density, so that they stay past one and two chunks whatever the
+# block (the disk holds 1.2 times as many)
+BLOCKS_PER_REALIZATION = {600.0: 1.3, 800.0: 2.6}
 
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("h, theta, realizations", LOOP_POINTS)
 def test_block_values_match_a_loop(params, monkeypatch, mode, h, theta, realizations):
     point = DeploymentVars.point(h, theta)
+    block = montecarlo.BLOCK_TERMINALS
+    if h in BLOCKS_PER_REALIZATION:
+        hex_area = 1.5 * SQRT3 * coverage_radius(h, theta)**2
+        params = make_params(rho=BLOCKS_PER_REALIZATION[h] * block / hex_area)
     res, draws = _recorded_run(monkeypatch, params, point,
                                SimSpec(mode=mode, realizations=realizations, seed=9))
     _check_against_loop(mode, params, point, res, draws)
     counts = res.gt_counts
-    block = montecarlo.BLOCK_TERMINALS
     if h == 40.0:
         assert (counts == 0).sum() > 10
+    if h == 300.0:
+        assert len(draws) < realizations
     if h == 600.0:
         assert counts.min() > block
     if h == 800.0:
