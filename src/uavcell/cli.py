@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import SNR_SCALE_KEYS, Config, ConfigError, load_config
-from .geometry import coverage_radius  # unused; perfbench/spans.py wraps it here
+from .geometry import coverage_radius
 from .mission import PlanTooLarge, assemble_plan
 from .montecarlo import (MAX_SIM_REALIZATIONS, MAX_SIM_TERMINALS, SimSpec, expected_terminals,
                          simulate_rate)
@@ -250,10 +250,12 @@ def cmd_simulate(cfg: Config, args, out_dir: Path, seed: int) -> int:
     vars = cfg.deployment_box().at(altitude_m=altitude, half_beamwidth_rad=theta)
     spec = _sim_spec(args, seed, params, [vars])
     result = simulate_rate(params, vars, spec)
-    if result.analytic_bps_hz == 0.0:
+    # a subnormal closed form has too few digits to compare against, like 0
+    if result.analytic_bps_hz < sys.float_info.min:
         keys = "/".join(SNR_SCALE_KEYS["eta" if args.mode == MAC else "alpha"])
-        raise ConfigError(f"{keys}: the {args.mode} closed form underflows to 0 at altitude "
-                          f"{altitude}, half-beamwidth {theta}, so the gap to it is undefined")
+        raise ConfigError(f"{keys}: the {args.mode} closed form underflows to "
+                          f"{result.analytic_bps_hz!r} at altitude {altitude}, half-beamwidth "
+                          f"{theta}, so the gap to it is undefined")
     stderr = result.empirical_stderr_bps_hz
     _report([
         ("mode", result.mode),
@@ -296,6 +298,11 @@ def cmd_plan(cfg: Config, args, out_dir: Path) -> int:
     params = cfg.system_params()
     box = cfg.deployment_box()
     opt = optimize(args.mode, params, box)
+    if math.isinf(coverage_radius(opt.h_star_m, opt.theta_star_rad)):
+        altitude_key = "h_max_m" if args.mode == MC else "h_min_m"  # the mode's altitude rule
+        raise ConfigError(f"{altitude_key}: the cell radius H*tan(theta) overflows at the "
+                          f"{args.mode} optimum, H={opt.h_star_m}, theta={opt.theta_star_rad}; "
+                          "one cell would cover the area")
     vars = box.at(altitude_m=opt.h_star_m, half_beamwidth_rad=opt.theta_star_rad)
     # a time that overflows is reported below by its key, not by a numpy warning
     with np.errstate(over="ignore"):

@@ -13,7 +13,8 @@ than n pitches. layout_centers returns the centers in tour order: a cycle
 of pitch steps only for every layout of two or more columns and four or
 more distinct y values, the column itself for a single column, and a
 two-chain tour for a strip of at most three y values. plan_tour keeps
-nearest neighbor plus 2-opt for arbitrary point sets.
+nearest neighbor plus 2-opt for arbitrary point sets. _column_rows decides
+the kept cells, one interval of rows per column, for the layout and the cap.
 """
 from __future__ import annotations
 
@@ -31,21 +32,13 @@ log = logging.getLogger(__name__)
 
 HOVER_DOMINANCE_MIN = 10.0
 
-# assemble_plan refuses a larger candidate lattice: a box whose optimum shrinks
-# cells to a few meters (bc flies low and narrow) is a wrong box, not a mission
+# assemble_plan refuses a plan of more cells: a box whose optimum shrinks cells
+# to a few meters (bc flies low and narrow) is a wrong box, not a mission
 MAX_PLAN_CELLS = 4096
-
-# hexagon orientation: one vertex on the +x axis (matches geometry.hex_contains).
-# Cell pitch: columns every 1.5*R in x, rows every sqrt(3)*R in y, odd columns
-# shifted half a row. Projection half-extents of the hexagon on the separating
-# axes (1,0), (0,1), (sqrt3/2, 1/2), (sqrt3/2, -1/2):
-_AXES = ((1.0, 0.0), (0.0, 1.0),
-         (SQRT3 / 2, 0.5), (SQRT3 / 2, -0.5))
-_HEX_EXTENT_FACTORS = (1.0, SQRT3 / 2, SQRT3 / 2, SQRT3 / 2)
 
 
 class PlanTooLarge(ValueError):
-    """The rectangle's candidate lattice holds more than MAX_PLAN_CELLS cells."""
+    """The rectangle needs more than MAX_PLAN_CELLS cells."""
 
 
 @dataclass(frozen=True)
@@ -58,24 +51,6 @@ class MissionPlan:
     fly_time_s: float
     completion_time_s: float
     hover_dominance: float
-
-
-def _hex_overlaps_rect(cx, cy, circumradius: float, width: float, height: float):
-    """Positive-area overlap between the hexagons at (cx, cy) and
-    [0, width] x [0, height], by separating-axis projections. cx and cy are
-    arrays (broadcast together); the result is a boolean array. The slack
-    scales with the shortest length, so a thin rectangle still overlaps."""
-    eps = 1e-9 * min(circumradius, width, height)
-    overlaps = True
-    for (ax, ay), factor in zip(_AXES, _HEX_EXTENT_FACTORS):
-        center_proj = cx * ax + cy * ay
-        extent = factor * circumradius
-        corner_projs = (0.0, width * ax, height * ay, width * ax + height * ay)
-        lo = min(corner_projs)
-        hi = max(corner_projs)
-        overlaps = overlaps & (np.minimum(hi, center_proj + extent)
-                               - np.maximum(lo, center_proj - extent) > eps)
-    return overlaps
 
 
 def _serpentine(columns: list, y_rank: list) -> list:
@@ -127,44 +102,66 @@ def _strip_tour(ids: np.ndarray, y_rank: np.ndarray, points: np.ndarray) -> list
     return min(tours, key=lambda tour: tour[0])[1]
 
 
-def _lattice_spans(width_m: float, height_m: float, rbar: float) -> tuple:
-    """Float spans of the candidate lattice: its columns j run from -1 to
-    floor(j_span) + 1, its rows k from -1 to floor(k_span) + 1."""
-    return (width_m + rbar) / (1.5 * rbar), (height_m + SQRT3 * rbar) / (SQRT3 * rbar)
+def _column_rows(width_m: float, height_m: float, rbar: float,
+                 max_columns: float = math.inf):
+    """Kept lattice columns j and each one's first and last row k, as floats,
+    or None when more than max_columns columns are tried.
+
+    Column j sits at x = 1.5*rbar*j, its rows every sqrt(3)*rbar in y, odd
+    columns half a row up; a hexagon has one vertex on the +x axis (as in
+    geometry.hex_contains). A cell is kept when its hexagon overlaps the
+    rectangle: its center lies in the rectangle grown by the hexagon, on a
+    column's line the interval (-sqrt(3)/2*rbar, height + sqrt(3)/2*rbar) of
+    y, narrowed past the right edge by the hexagon's corner, sqrt(3)*(x - width).
+    Columns are tried from j = 0 while x - rbar < width; only the last can
+    hold no row, and is then dropped. The slack scales with the shortest
+    length, so a thin rectangle still overlaps.
+    """
+    eps = 1e-9 * min(rbar, width_m, height_m)
+    columns = np.ceil((width_m - eps + rbar) / (1.5 * rbar))
+    if not columns <= max_columns:  # nan fails too
+        return None
+    j = np.arange(columns)
+    half = SQRT3 / 2 * rbar
+    cut = np.maximum(SQRT3 * (1.5 * rbar * j - width_m) - half + eps, 0.0)
+    offset = (j % 2) * half
+    first = np.floor((eps - half + cut - offset) / (SQRT3 * rbar)) + 1.0
+    last = np.ceil((height_m + half - eps - cut - offset) / (SQRT3 * rbar)) - 1.0
+    kept = first <= last
+    return j[kept], first[kept], last[kept]
 
 
 def layout_centers(width_m: float, height_m: float, circumradius_m: float) -> np.ndarray:
     """Cell centers of the hexagonal tessellation serving the rectangle, in
     closed-tour order.
 
-    Keeps every lattice cell whose hexagon overlaps the rectangle, so each
-    area point lies in some kept cell and therefore within circumradius of
-    its center. Edge cells overhang the boundary; that is intended. The
-    order comes from the lattice indices: a single column bottom to top,
-    _strip_tour for at most three y values, _serpentine otherwise.
+    Keeps every lattice cell whose hexagon overlaps the rectangle
+    (_column_rows), so each area point lies in some kept cell and therefore
+    within circumradius of its center. Edge cells overhang the boundary;
+    that is intended. The order comes from the lattice indices: a single
+    column bottom to top, _strip_tour for at most three y values,
+    _serpentine otherwise.
     """
     if width_m <= 0.0 or height_m <= 0.0:
         raise ValueError(f"rectangle dims must be > 0, got {width_m} x {height_m}")
     rbar = circumradius_m
     if rbar <= 0.0:
         raise ValueError(f"circumradius must be > 0, got {rbar}")
-    j_span, k_span = _lattice_spans(width_m, height_m, rbar)
-    j_hi = math.floor(j_span) + 1
-    k_hi = math.floor(k_span) + 1
-    j = np.arange(-1, j_hi + 1)[:, None]
-    k = np.arange(-1, k_hi + 1)[None, :]
-    cx = np.broadcast_to(1.5 * rbar * j, (j.size, k.size)).ravel()
-    cy = (SQRT3 * rbar * k + (j % 2) * (SQRT3 / 2 * rbar)).ravel()  # odd columns half a row up
-    keep = _hex_overlaps_rect(cx, cy, rbar, width_m, height_m)
-    y_rank = (2 * k + j % 2).ravel()  # y in half rows
-    ids = np.flatnonzero(keep)
-    column = ids // k.size
-    if column[0] == column[-1]:
+    j, first, last = _column_rows(width_m, height_m, rbar)
+    counts = (last - first + 1.0).astype(int)
+    ends = np.cumsum(counts)
+    ids = np.arange(ends[-1])  # column-major: bottom to top, column after column
+    j = np.repeat(j.astype(int), counts)
+    k = ids + np.repeat(first.astype(int) - (ends - counts), counts)
+    cx = 1.5 * rbar * j
+    cy = SQRT3 * rbar * k + (j % 2) * (SQRT3 / 2 * rbar)  # odd columns half a row up
+    y_rank = 2 * k + j % 2  # y in half rows
+    if len(counts) == 1:
         order = ids
-    elif np.ptp(y_rank[ids]) <= 2:  # the y values of two or more columns are contiguous
-        order = _strip_tour(ids, y_rank[ids], np.column_stack((cx, cy)))
+    elif np.ptp(y_rank) <= 2:  # the y values of two or more columns are contiguous
+        order = _strip_tour(ids, y_rank, np.column_stack((cx, cy)))
     else:
-        columns = np.split(ids, np.flatnonzero(np.diff(column)) + 1)
+        columns = np.split(ids, ends[:-1])
         order = _serpentine([c.tolist() for c in columns], y_rank.tolist())
     return np.column_stack((cx[order], cy[order]))
 
@@ -266,7 +263,7 @@ def assemble_plan(params: SystemParams, vars: DeploymentVars, mode: str,
 
     per_cell_payload is the multicast file size in bits for mc, or the
     per-cell service period in seconds for bc/mac. Raises PlanTooLarge
-    before allocating a candidate lattice of more than MAX_PLAN_CELLS cells.
+    before laying out more than MAX_PLAN_CELLS cells.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -274,11 +271,11 @@ def assemble_plan(params: SystemParams, vars: DeploymentVars, mode: str,
         raise ValueError(f"per-cell payload must be > 0, got {per_cell_payload}")
     width_m, height_m = area
     rbar = coverage_radius(vars.altitude_m, vars.half_beamwidth_rad)
-    j_span, k_span = _lattice_spans(width_m, height_m, rbar)
-    # columns times rows, in floats: an infinite or nan span fails the test too
-    if not (np.floor(j_span) + 3) * (np.floor(k_span) + 3) <= MAX_PLAN_CELLS:
-        raise PlanTooLarge(f"a {width_m} m x {height_m} m area needs a lattice of more "
-                           f"than {MAX_PLAN_CELLS} cells of radius {rbar:.3g} m")
+    # counted in floats, so a huge or nan span makes no array and cannot wrap
+    rows = _column_rows(width_m, height_m, rbar, MAX_PLAN_CELLS + 1)  # the last may be empty
+    if rows is None or not np.sum(rows[2] - rows[1] + 1.0) <= MAX_PLAN_CELLS:
+        raise PlanTooLarge(f"a {width_m} m x {height_m} m area needs more than "
+                           f"{MAX_PLAN_CELLS} cells of radius {rbar:.3g} m")
     centers = layout_centers(width_m, height_m, rbar)
     depot = (0.0, 0.0)  # rectangle corner nearest the origin
     base = plan_tour(centers, depot, v_max, ordered=True)

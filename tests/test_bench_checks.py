@@ -2,11 +2,17 @@
 run in-process, with every output judged by the benchmark's own checks
 (perfbench/checks.py, against perfbench/oracle.py). A change to the Monte
 Carlo stream or estimators that trips the checks' statistical tests fails
-here, before a benchmark run. perfbench/run.py is not imported: it sets
-thread-pool environment variables when imported."""
+here, before a benchmark run. One traced pass of each workload then checks
+that every per-layer metric is defined: a metric of 0/0 would make the
+benchmark's last line NaN, which is not JSON. perfbench/run.py sets
+thread-pool environment variables when imported, so the environment is
+restored after loading it."""
 import contextlib
+import importlib.util
 import io
 import json
+import math
+import os
 import sys
 from pathlib import Path
 
@@ -56,3 +62,37 @@ def test_mc_validate_pass_meets_the_benchmark_checks(perfbench, tmp_path, seed):
         problems += [f"command {index} ({command.kind} {command.mode}): {p}" for p in found]
     assert problems == []
     assert {command.kind for command in workload.commands} >= {"simulate", "sweep_sim"}
+
+
+@pytest.fixture(scope="module")
+def bench_run():
+    """perfbench/run.py and the spans module its layer metrics import."""
+    saved = dict(os.environ)
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+        run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run)
+        import spans
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        os.environ.clear()
+        os.environ.update(saved)
+    return run, spans, workloads
+
+
+@pytest.mark.parametrize("name", ["design-sweep", "mc-validate", "lattice-plan"])
+def test_traced_pass_defines_every_layer_metric(bench_run, tmp_path, name):
+    run, spans, workloads = bench_run
+    runner = run.Runner(cli, workloads.build(name, 1), tmp_path)
+    rec = spans.Recorder()
+    rec.install()
+    runner.recorder = rec
+    try:
+        runner.run_pass(lambda: 0.0)
+    finally:
+        rec.uninstall()
+    values = run.layer_metrics(rec, run.random_tours(runner, 1, rec))
+    assert {name for name, value in values.items() if not math.isfinite(value)} == set()
+    json.dumps(values, allow_nan=False)

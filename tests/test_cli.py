@@ -493,10 +493,15 @@ ETA_KEYS = "p_uplink_dbm/beta0/noise_psd_dbm_hz/bandwidth_hz/density_per_m2"
     ("mc", {}, ("1000000", "0.5"), ALPHA_KEYS),
     ("bc", {}, ("1000000", "0.5"), ALPHA_KEYS),
     ("mac", {"p_uplink_dbm": 30.0}, ("1000", "0.05"), ETA_KEYS),
-], ids=MODES)
+    # subnormal closed forms: 5e-324 for mc and mac, 1.774e-321 for bc
+    ("mc", {"p_uplink_dbm": 30.0}, ("1000", "1.4"), ALPHA_KEYS),
+    ("bc", {"p_uplink_dbm": 30.0}, ("1000", "1.4"), ALPHA_KEYS),
+    ("mac", {"p_uplink_dbm": 30.0}, ("1000", "1.4"), ETA_KEYS),
+], ids=[*MODES, *(f"{mode}-subnormal" for mode in MODES)])
 def test_simulate_underflowed_closed_form_named(tmp_path, capsys, mode, overrides, point, keys):
-    # the relative gap to a closed form of 0 is undefined: exit 2 naming
-    # the keys of the mode's SNR scale, and print no report
+    # the relative gap to a closed form of 0, or of a subnormal with no
+    # significant digits, is undefined: exit 2 naming the keys of the mode's
+    # SNR scale, and print no report
     path = tmp_path / "faint.json"
     path.write_text(json.dumps(dict(FAINT, **overrides)))
     assert run(path, tmp_path, "simulate", "--mode", mode, "--altitude", point[0],
@@ -540,6 +545,18 @@ def test_default_altitude_of_a_huge_box_is_finite(tmp_path, capsys):
     assert "altitude" not in err
 
 
+def test_plan_of_an_infinite_cell_names_the_altitude(tmp_path, capsys):
+    # the mac optimum's H*tan(theta) overflows: one cell would cover the area,
+    # and the altitude that mac's rule picked is h_min_m
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(HUGE_BOX))
+    assert run(path, tmp_path, "plan", "--mode", "mac") == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: h_min_m: the cell radius H*tan(theta) overflows")
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == "" and not (tmp_path / "plan_mac.csv").exists()
+
+
 def test_default_point_is_the_box_midpoint(cfg_path, tmp_path, capsys):
     assert run(cfg_path, tmp_path, "simulate", "--mode", "mc", "--realizations", "2") == 0
     report = parse_report(capsys.readouterr().out)
@@ -571,12 +588,18 @@ def test_plan_refuses_absurd_cell_count(cfg_path, tmp_path, capsys):
     assert "cells" in err and "config error" in err
 
 
-@pytest.mark.parametrize("width", [1e9, 1e12, 1.7976931348623157e308])
-def test_plan_cap_counts_the_lattice_of_a_strip(tmp_path, capsys, width):
-    # a 1 mm strip has almost no area, but its lattice holds a cell per
-    # 10.6 km of width at the mc optimum; the widest would overflow a count
+@pytest.mark.parametrize("width, height", [
+    pytest.param(1e9, 1e-3, id="1000000000.0"),
+    pytest.param(1e12, 1e-3, id="1000000000000.0"),
+    pytest.param(1.7976931348623157e308, 1e-3, id="1.7976931348623157e+308"),
+    pytest.param(1e-3, 1e300, id="tall"),
+])
+def test_plan_cap_counts_the_lattice_of_a_strip(tmp_path, capsys, width, height):
+    # a 1 mm strip has almost no area, but it needs a cell per 10.6 km of
+    # width, or per 12.2 km of height, at the mc optimum; the longest would
+    # overflow a count
     path = tmp_path / "strip.json"
-    path.write_text(json.dumps(dict(BASE, area_width_m=width, area_height_m=1e-3)))
+    path.write_text(json.dumps(dict(BASE, area_width_m=width, area_height_m=height)))
     assert run(path, tmp_path, "plan", "--mode", "mc") == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("config error: area_width_m/area_height_m: ")

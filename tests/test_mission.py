@@ -1,12 +1,13 @@
 """Hexagonal tiling of a service rectangle and the hover-and-fly tour."""
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from uavcell import (DeploymentVars, assemble_plan, cell_edge_rate_mc,
-                     layout_centers, mission, plan_tour)
+                     coverage_radius, layout_centers, mission, plan_tour)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -31,6 +32,9 @@ def test_layout_counts_bounded():
     cell_area = 1.5 * SQRT3 * R**2
     assert len(centers) >= w * h / cell_area  # tiling cannot undershoot
     assert len(centers) <= (w + 4 * R) * (h + 4 * R) / cell_area
+    # no covering by equal disks is thinner than the hexagonal one (Kershner 1939)
+    for w, h in RECTANGLES:
+        assert len(layout_centers(w, h, 10.0)) >= math.ceil(w * h / (1.5 * SQRT3 * 100.0)), (w, h)
 
 
 @pytest.mark.parametrize("w, h", [(1000.0, 1e-12), (1e-12, 1000.0), (1e-300, 1e-300)])
@@ -144,18 +148,35 @@ def test_single_cell_plan_dominance_is_infinite(params):
     assert math.isinf(plan.hover_dominance)
 
 
-@pytest.mark.parametrize("width, cells", [(153100.0, 4096), (153250.0, 4100)])
-def test_plan_cap_counts_candidate_columns_times_rows(params, width, cells):
-    # 100 m cells over a 100 m high rectangle: 4 candidate rows, and
-    # floor((width + 100) / 150) + 3 columns, 1,024 and 1,025 here
+@pytest.mark.parametrize("width, cells", [(153100.0, 1533), (153250.0, 1535),
+                                          (409425.0, 4096), (409450.0, 4097)])
+def test_plan_cap_counts_the_cells_kept(params, width, cells):
+    # 100 m cells over a 100 m high rectangle: 1.5 cells per 150 m column,
+    # where a lattice around the 153,250 m strip holds 4,100 cells
     vars = DeploymentVars.point(100.0, math.pi / 4)
     area = (width, 100.0)
     if cells <= mission.MAX_PLAN_CELLS:
         plan = assemble_plan(params, vars, "mac", 60.0, 20.0, area)
-        assert 0 < len(plan.centers) <= cells
+        assert len(plan.centers) == cells
     else:
+        assert len(layout_centers(*area, coverage_radius(100.0, math.pi / 4))) == cells
         with pytest.raises(mission.PlanTooLarge, match="more than 4096 cells"):
             assemble_plan(params, vars, "mac", 60.0, 20.0, area)
+
+
+@pytest.mark.parametrize("height", [1e15, 1e300, 1.7976931348623157e308])
+def test_plan_cap_refuses_a_tall_strip_without_allocating(params, height):
+    # two columns of 5.8e12 to 1e306 rows each: the count stays a float, so
+    # it neither wraps nor builds the rows
+    vars = DeploymentVars.point(100.0, math.pi / 4)
+    tracemalloc.start()
+    try:
+        with pytest.raises(mission.PlanTooLarge, match="more than 4096 cells"):
+            assemble_plan(params, vars, "mac", 60.0, 20.0, (100.0, height))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_assemble_plan_validation(params):
@@ -220,6 +241,58 @@ def _no_two_opt(monkeypatch):
 # 40 x 40 rectangles from 3 m to 600 m a side with R = 10 m, plus SIDES_R
 RECTANGLES = (list(itertools.product(np.geomspace(3.0, 600.0, 40), repeat=2))
               + [(w * 10.0, h * 10.0) for w, h in itertools.product(SIDES_R, SIDES_R)])
+
+
+def reference_layout(w, h, R):
+    """layout_centers by brute force: a separating-axis overlap test on every
+    cell of a lattice that surrounds the rectangle, in the same order."""
+    j = np.arange(-1, math.floor((w + R) / (1.5 * R)) + 2)[:, None]
+    k = np.arange(-1, math.floor((h + SQRT3 * R) / (SQRT3 * R)) + 2)[None, :]
+    cx = np.broadcast_to(1.5 * R * j, (j.size, k.size)).ravel()
+    cy = (SQRT3 * R * k + (j % 2) * (SQRT3 / 2 * R)).ravel()
+    keep = True
+    for (ax, ay), extent in (((1.0, 0.0), R), ((0.0, 1.0), SQRT3 / 2 * R),
+                             ((SQRT3 / 2, 0.5), SQRT3 / 2 * R), ((SQRT3 / 2, -0.5), SQRT3 / 2 * R)):
+        corners = (0.0, w * ax, h * ay, w * ax + h * ay)
+        keep = keep & (np.minimum(max(corners), cx * ax + cy * ay + extent)
+                       - np.maximum(min(corners), cx * ax + cy * ay - extent)
+                       > 1e-9 * min(R, w, h))
+    ids = np.flatnonzero(keep)
+    y_rank = (2 * k + j % 2).ravel()
+    column = ids // k.size
+    if column[0] == column[-1]:
+        order = ids
+    elif np.ptp(y_rank[ids]) <= 2:
+        order = mission._strip_tour(ids, y_rank[ids], np.column_stack((cx, cy)))
+    else:
+        columns = np.split(ids, np.flatnonzero(np.diff(column)) + 1)
+        order = mission._serpentine([c.tolist() for c in columns], y_rank.tolist())
+    return np.column_stack((cx[order], cy[order]))
+
+
+def _reference_rectangles():
+    """(w, h, R): RECTANGLES; sides on exact multiples of half and quarter
+    pitches, where cells touch the rectangle with no overlap, and half the
+    slack either side of the quarter ones; seeded sides from 1e-2 to 2e2
+    radii with R from 1e-3 to 1e3 m."""
+    yield from ((w, h, 10.0) for w, h in RECTANGLES)
+    for a, b in itertools.product(range(1, 30), repeat=2):
+        yield 0.5 * 10.0 * a, SQRT3 / 4 * 10.0 * b, 10.0
+        yield 0.75 * 10.0 * a, SQRT3 / 2 * 10.0 * b, 10.0
+        # corner ties past the right edge, and each side within half the slack
+        w, h = 0.25 * 10.0 * a, SQRT3 / 4 * 10.0 * b
+        shift = 0.5e-9 * min(10.0, w, h)
+        yield from ((w, h, 10.0), (w - shift, h - shift, 10.0), (w + shift, h + shift, 10.0))
+    rng = np.random.default_rng(19)
+    for sides, R in zip(10.0 ** rng.uniform(-2.0, math.log10(200.0), (3000, 2)),
+                        10.0 ** rng.uniform(-3.0, 3.0, 3000)):
+        yield sides[0] * R, sides[1] * R, R
+
+
+def test_layout_matches_the_separating_axis_reference():
+    for w, h, R in _reference_rectangles():
+        got, want = layout_centers(w, h, R), reference_layout(w, h, R)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (w, h, R)
 
 
 def test_lattice_tours_are_exact_by_construction(monkeypatch):
