@@ -5,7 +5,8 @@ Global flags come before the subcommand:
     uavcell --config params.json [--out DIR] [--seed N] <command> [options]
 
 Reports are key=value lines on stdout; tabular outputs are CSV files under
---out. Exit codes: 0 success, 2 configuration/usage error, 3 simulation gap
+--out, which is created, parents included, only when a command writes one.
+Exit codes: 0 success, 2 configuration/usage error, 3 simulation gap
 above tolerance.
 """
 from __future__ import annotations
@@ -25,11 +26,14 @@ from .montecarlo import (MAX_SIM_REALIZATIONS, MAX_SIM_TERMINALS, SimSpec, expec
                          simulate_rate)
 from .optimize import optimize
 from .params import DeploymentVars
-from .rates import MAC, MC, MODES, rate_value
+from .rates import BC, MAC, MC, MODES, rate_value
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_GAP = 3
+
+# the config key of the altitude that each mode's closed rule picks
+_ALTITUDE_KEYS = {MC: "h_max_m", BC: "h_min_m", MAC: "h_min_m"}
 
 
 @functools.cache
@@ -91,8 +95,7 @@ def _fmt(value) -> str:
 
 
 def _report(pairs):
-    for key, value in pairs:
-        print(f"{key}={_fmt(value)}")
+    print("\n".join([f"{key}={_fmt(value)}" for key, value in pairs]))
 
 
 def _distinct_reprs(values: np.ndarray):
@@ -110,7 +113,15 @@ def _write_csv(path: Path, header, columns, seed=None):
     # the repr of a Python number (arrays go through .tolist() or
     # _distinct_reprs): the repr of a numpy scalar is np.float64(...)
     rows = map(",".join, zip(*columns))
-    with open(path, "w", newline="") as fh:
+    try:
+        try:
+            fh = open(path, "w", newline="")
+        except FileNotFoundError:  # --out is made when a CSV first needs it
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fh = open(path, "w", newline="")
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot write {path}: {exc.strerror or exc}") from exc
+    with fh:
         if seed is not None:
             fh.write(f"# seed={seed}\n")
         fh.write("\r\n".join([",".join(header), *rows]))
@@ -165,13 +176,21 @@ def _sim_spec(args, seed: int, params, points) -> SimSpec:
     return spec
 
 
-def cmd_optimize(cfg: Config, args, out_dir: Path) -> int:
+def _optimum(mode: str, params, box: DeploymentVars, tol: float = 1e-4):
+    """The mode's optimum in the box. A rate that is not finite on the way
+    names the keys of the point it failed at: the altitude that the mode's
+    rule picked, then the beamwidth range."""
+    try:
+        return optimize(mode, params, box, tol=tol)
+    except ValueError as exc:
+        raise ConfigError(f"{_ALTITUDE_KEYS[mode]}/theta_min_rad/theta_max_rad: {exc}") from exc
+
+
+def cmd_optimize(cfg: Config, args) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         raise ConfigError(f"--tol: must be finite and > 0, got {args.tol}")
-    params = cfg.system_params()
-    box = cfg.deployment_box()
-    result = optimize(args.mode, params, box, tol=args.tol)
-    _report([
+    result = _optimum(args.mode, cfg.params, cfg.deployment_box(), tol=args.tol)
+    pairs = [
         ("mode", result.mode),
         ("h_star_m", result.h_star_m),
         ("theta_star_rad", result.theta_star_rad),
@@ -179,19 +198,20 @@ def cmd_optimize(cfg: Config, args, out_dir: Path) -> int:
         ("objective_bps_hz", result.objective_bps_hz),
         ("method", result.method),
         ("h_indifferent", result.h_indifferent),
-    ])
+    ]
     if args.csv:
-        path = out_dir / f"optimize_{result.mode}_trace.csv"
+        path = Path(args.out, f"optimize_{result.mode}_trace.csv")
         h, theta, value = result.trace
         _write_csv(path, ("h_m", "theta_rad", "value_bps_hz"),
                    [_distinct_reprs(h), map(repr, theta.tolist()),
                     map(repr, value.tolist())])
-        print(f"trace_csv={path}")
+        pairs.append(("trace_csv", path))
+    _report(pairs)
     return EXIT_OK
 
 
-def cmd_sweep(cfg: Config, args, out_dir: Path, seed: int) -> int:
-    params = cfg.system_params()
+def cmd_sweep(cfg: Config, args, seed: int) -> int:
+    params = cfg.params
     lo, hi, n = _parse_range(args.sweep_range)
     if args.var == "theta":
         if not (lo > 0.0 and hi < math.pi / 2):
@@ -199,6 +219,8 @@ def cmd_sweep(cfg: Config, args, out_dir: Path, seed: int) -> int:
         fixed = args.fixed_h if args.fixed_h is not None else _midpoint(cfg.h_min_m, cfg.h_max_m)
         if not 0.0 < fixed < math.inf:
             raise ConfigError(f"fixed-h: must be finite and > 0, got {fixed}")
+        # a rate that is not finite names the altitude's source, then the range
+        rate_keys = ("fixed-h" if args.fixed_h is not None else "h_min_m/h_max_m") + "/range"
     else:
         if lo <= 0.0:
             raise ConfigError(f"range: altitude sweep must be positive, got {lo}:{hi}")
@@ -206,11 +228,16 @@ def cmd_sweep(cfg: Config, args, out_dir: Path, seed: int) -> int:
                  else _midpoint(cfg.theta_min_rad, cfg.theta_max_rad))
         if not 0.0 < fixed < math.pi / 2:
             raise ConfigError(f"fixed-theta: must lie inside (0, pi/2), got {fixed}")
+        rate_keys = "range/" + ("fixed-theta" if args.fixed_theta is not None
+                                else "theta_min_rad/theta_max_rad")
 
     values = np.arange(n) * ((hi - lo) / (n - 1)) + lo
     h, theta = (fixed, values) if args.var == "theta" else (values, fixed)
-    columns = [map(repr, values.tolist()),
-               map(repr, rate_value(args.mode, params, h, theta).tolist())]
+    try:
+        rate = rate_value(args.mode, params, h, theta)
+    except ValueError as exc:
+        raise ConfigError(f"{rate_keys}: {exc}") from exc
+    columns = [map(repr, values.tolist()), map(repr, rate.tolist())]
     if args.with_sim:
         points = [DeploymentVars.point(*point) for point in
                   zip(np.broadcast_to(h, n).tolist(), np.broadcast_to(theta, n).tolist())]
@@ -218,7 +245,7 @@ def cmd_sweep(cfg: Config, args, out_dir: Path, seed: int) -> int:
         columns.append(map(repr, [simulate_rate(params, point, spec).empirical_mean_bps_hz
                                   for point in points]))
 
-    path = out_dir / f"sweep_{args.mode}_{args.var}.csv"
+    path = Path(args.out, f"sweep_{args.mode}_{args.var}.csv")
     if args.with_sim:
         header = ("sweep_value", "analytic_bps_per_hz", "empirical_bps_per_hz")
         _write_csv(path, header, columns, seed=seed)
@@ -234,7 +261,7 @@ def cmd_sweep(cfg: Config, args, out_dir: Path, seed: int) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(cfg: Config, args, out_dir: Path, seed: int) -> int:
+def cmd_simulate(cfg: Config, args, seed: int) -> int:
     if not (math.isfinite(args.gap_tol) and args.gap_tol >= 0.0):
         raise ConfigError(f"--gap-tol: must be finite and >= 0, got {args.gap_tol}")
     for flag, value, keys, lo, hi in (
@@ -243,7 +270,7 @@ def cmd_simulate(cfg: Config, args, out_dir: Path, seed: int) -> int:
              cfg.theta_max_rad)):
         if value is not None and not lo <= value <= hi:
             raise ConfigError(f"{flag}: must lie in [{keys}] = [{lo}, {hi}], got {value}")
-    params = cfg.system_params()
+    params = cfg.params
     altitude = args.altitude if args.altitude is not None else _midpoint(cfg.h_min_m, cfg.h_max_m)
     theta = (args.theta if args.theta is not None
              else _midpoint(cfg.theta_min_rad, cfg.theta_max_rad))
@@ -257,7 +284,7 @@ def cmd_simulate(cfg: Config, args, out_dir: Path, seed: int) -> int:
                           f"{result.analytic_bps_hz!r} at altitude {altitude}, half-beamwidth "
                           f"{theta}, so the gap to it is undefined")
     stderr = result.empirical_stderr_bps_hz
-    _report([
+    pairs = [
         ("mode", result.mode),
         ("altitude_m", altitude),
         ("half_beamwidth_rad", theta),
@@ -269,14 +296,15 @@ def cmd_simulate(cfg: Config, args, out_dir: Path, seed: int) -> int:
         ("empirical_stderr_bps_hz", "n/a" if math.isnan(stderr) else stderr),
         ("relative_gap", result.relative_gap),
         ("gap_tol", args.gap_tol),
-    ])
+    ]
     if args.csv:
-        path = out_dir / f"simulate_{result.mode}.csv"
+        path = Path(args.out, f"simulate_{result.mode}.csv")
         columns = [map(repr, range(args.realizations)), map(repr, result.gt_counts.tolist()),
                    map(repr, result.per_realization.tolist())]
         _write_csv(path, ("realization_index", "gt_count", "value_bps_per_hz"), columns,
                    seed=seed)
-        print(f"realizations_csv={path}")
+        pairs.append(("realizations_csv", path))
+    _report(pairs)
     if result.relative_gap > args.gap_tol:
         print(f"validation gap {result.relative_gap:.3g} exceeds tolerance "
               f"{args.gap_tol}", file=sys.stderr)
@@ -284,7 +312,7 @@ def cmd_simulate(cfg: Config, args, out_dir: Path, seed: int) -> int:
     return EXIT_OK
 
 
-def cmd_plan(cfg: Config, args, out_dir: Path) -> int:
+def cmd_plan(cfg: Config, args) -> int:
     if cfg.area_width_m is None or cfg.area_height_m is None:
         raise ConfigError("area_width_m: plan needs rectangle dims "
                           "(area_width_m and area_height_m)")
@@ -295,14 +323,13 @@ def cmd_plan(cfg: Config, args, out_dir: Path) -> int:
     if payload is None:
         raise ConfigError(f"{payload_key}: required for plan --mode {args.mode}")
 
-    params = cfg.system_params()
+    params = cfg.params
     box = cfg.deployment_box()
-    opt = optimize(args.mode, params, box)
+    opt = _optimum(args.mode, params, box)
     if math.isinf(coverage_radius(opt.h_star_m, opt.theta_star_rad)):
-        altitude_key = "h_max_m" if args.mode == MC else "h_min_m"  # the mode's altitude rule
-        raise ConfigError(f"{altitude_key}: the cell radius H*tan(theta) overflows at the "
-                          f"{args.mode} optimum, H={opt.h_star_m}, theta={opt.theta_star_rad}; "
-                          "one cell would cover the area")
+        raise ConfigError(f"{_ALTITUDE_KEYS[args.mode]}: the cell radius H*tan(theta) "
+                          f"overflows at the {args.mode} optimum, H={opt.h_star_m}, "
+                          f"theta={opt.theta_star_rad}; one cell would cover the area")
     vars = box.at(altitude_m=opt.h_star_m, half_beamwidth_rad=opt.theta_star_rad)
     # a time that overflows is reported below by its key, not by a numpy warning
     with np.errstate(over="ignore"):
@@ -329,7 +356,7 @@ def cmd_plan(cfg: Config, args, out_dir: Path) -> int:
                           f"{payload} and {cfg.uav_speed_mps}")
     columns = [map(repr, range(len(plan.centers))), *map(_distinct_reprs, plan.centers.T),
                _distinct_reprs(plan.hover_times_s), map(repr, cumulative.tolist())]
-    path = out_dir / f"plan_{args.mode}.csv"
+    path = Path(args.out, f"plan_{args.mode}.csv")
     _write_csv(path, ("cell_index", "x_m", "y_m", "hover_s", "cumulative_s"), columns)
 
     _report([
@@ -354,17 +381,15 @@ def main(argv=None) -> int:
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
         cfg = load_config(args.config)
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         seed = args.seed if args.seed is not None else cfg.seed
         if args.command == "optimize":
-            return cmd_optimize(cfg, args, out_dir)
+            return cmd_optimize(cfg, args)
         if args.command == "sweep":
-            return cmd_sweep(cfg, args, out_dir, seed)
+            return cmd_sweep(cfg, args, seed)
         if args.command == "simulate":
-            return cmd_simulate(cfg, args, out_dir, seed)
+            return cmd_simulate(cfg, args, seed)
         if args.command == "plan":
-            return cmd_plan(cfg, args, out_dir)
+            return cmd_plan(cfg, args)
         raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, field
 
 from .params import (DeploymentVars, DerivedConstantError, SystemParams, dbm_to_watts,
                      derived_constants)
@@ -31,22 +30,14 @@ class Config:
     h_max_m: float
     theta_min_rad: float
     theta_max_rad: float
+    # the link budget in SI units, built once by load_config
+    params: SystemParams = field(repr=False, compare=False)
     area_width_m: float | None = None
     area_height_m: float | None = None
     file_size_bits: float | None = None
     period_s: float | None = None
     uav_speed_mps: float | None = None
     seed: int = 0
-
-    def system_params(self) -> SystemParams:
-        return SystemParams(
-            beta0=self.beta0,
-            bandwidth_hz=self.bandwidth_hz,
-            p_downlink_w=dbm_to_watts(self.p_downlink_dbm),
-            p_uplink_w=dbm_to_watts(self.p_uplink_dbm),
-            noise_psd_w_hz=dbm_to_watts(self.noise_psd_dbm_hz),
-            density_per_m2=self.density_per_m2,
-        )
 
     def deployment_box(self) -> DeploymentVars:
         """The feasible box, parked at its lower corner."""
@@ -96,7 +87,8 @@ def _angle(raw: dict, stem: str) -> float:
 
 def load_config(path) -> Config:
     try:
-        raw = json.loads(Path(path).read_text())
+        with open(path, "rb") as fh:
+            raw = json.loads(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -124,45 +116,56 @@ def load_config(path) -> Config:
             raise ConfigError(f"seed: must be >= 0, got {seed}")
         fields["seed"] = seed
 
-    cfg = Config(**fields)
-    _validate(cfg)
-    return cfg
+    return Config(params=_validate(fields), **fields)
 
 
-def _validate(cfg: Config):
+def _validate(fields: dict) -> SystemParams:
+    """Check a config's fields; return its link budget in SI units."""
     for key in ("beta0", "bandwidth_hz", "density_per_m2", "h_min_m", "h_max_m"):
-        if not getattr(cfg, key) > 0.0:
-            raise ConfigError(f"{key}: must be > 0, got {getattr(cfg, key)}")
+        if not fields[key] > 0.0:
+            raise ConfigError(f"{key}: must be > 0, got {fields[key]}")
     for key in _OPTIONAL_POSITIVE:
-        value = getattr(cfg, key)
+        value = fields.get(key)
         if value is not None and not value > 0.0:
             raise ConfigError(f"{key}: must be > 0, got {value}")
+    watts = {}
     for key in _DBM:
-        dbm = getattr(cfg, key)
+        dbm = fields[key]
         try:
-            watts = dbm_to_watts(dbm)
+            watts[key] = dbm_to_watts(dbm)
         except OverflowError:
-            watts = math.inf
-        if not 0.0 < watts < math.inf:
-            raise ConfigError(f"{key}: {dbm} dBm is {watts} W, not a positive "
+            watts[key] = math.inf
+        if not 0.0 < watts[key] < math.inf:
+            raise ConfigError(f"{key}: {dbm} dBm is {watts[key]} W, not a positive "
                               "finite power")
     # a tiny noise PSD times a tiny bandwidth underflows to 0 W
-    if dbm_to_watts(cfg.noise_psd_dbm_hz) * cfg.bandwidth_hz == 0.0:
+    if watts["noise_psd_dbm_hz"] * fields["bandwidth_hz"] == 0.0:
         raise ConfigError(f"bandwidth_hz/noise_psd_dbm_hz: the noise power is 0 W (bandwidth_hz="
-                          f"{cfg.bandwidth_hz}, noise_psd_dbm_hz={cfg.noise_psd_dbm_hz})")
+                          f"{fields['bandwidth_hz']}, noise_psd_dbm_hz="
+                          f"{fields['noise_psd_dbm_hz']})")
+    params = SystemParams(
+        beta0=fields["beta0"],
+        bandwidth_hz=fields["bandwidth_hz"],
+        p_downlink_w=watts["p_downlink_dbm"],
+        p_uplink_w=watts["p_uplink_dbm"],
+        noise_psd_w_hz=watts["noise_psd_dbm_hz"],
+        density_per_m2=fields["density_per_m2"],
+    )
     try:
-        derived_constants(cfg.system_params())
+        derived_constants(params)
     except DerivedConstantError as exc:
         keys = SNR_SCALE_KEYS[exc.name]
-        values = ", ".join(f"{key}={getattr(cfg, key)}" for key in keys)
+        values = ", ".join(f"{key}={fields[key]}" for key in keys)
         raise ConfigError(f"{'/'.join(keys)}: {exc} ({values})") from exc
-    if cfg.h_min_m > cfg.h_max_m:
-        raise ConfigError(f"h_min_m: must satisfy h_min_m <= h_max_m, got "
-                          f"{cfg.h_min_m} > {cfg.h_max_m}")
-    if not cfg.theta_min_rad > 0.0:
-        raise ConfigError(f"theta_min_rad: must be > 0, got {cfg.theta_min_rad}")
-    if cfg.theta_min_rad > cfg.theta_max_rad:
+    h_min, h_max = fields["h_min_m"], fields["h_max_m"]
+    if h_min > h_max:
+        raise ConfigError(f"h_min_m: must satisfy h_min_m <= h_max_m, got {h_min} > {h_max}")
+    theta_min, theta_max = fields["theta_min_rad"], fields["theta_max_rad"]
+    if not theta_min > 0.0:
+        raise ConfigError(f"theta_min_rad: must be > 0, got {theta_min}")
+    if theta_min > theta_max:
         raise ConfigError(f"theta_min_rad: must satisfy theta_min <= theta_max, got "
-                          f"{cfg.theta_min_rad} > {cfg.theta_max_rad}")
-    if not cfg.theta_max_rad < math.pi / 2:
-        raise ConfigError(f"theta_max_rad: must be < pi/2, got {cfg.theta_max_rad}")
+                          f"{theta_min} > {theta_max}")
+    if not theta_max < math.pi / 2:
+        raise ConfigError(f"theta_max_rad: must be < pi/2, got {theta_max}")
+    return params

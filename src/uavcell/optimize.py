@@ -16,6 +16,7 @@ from .params import DeploymentVars, SystemParams
 from .rates import BC, MAC, MC, MODES, rate_value
 
 SCAN_POINTS = 257
+_GRID = np.arange(SCAN_POINTS, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -35,9 +36,11 @@ def search_1d(f, lo: float, hi: float, tol: float = 1e-4):
     The first call f(xs) scans a 257-point grid over [lo, hi]. Each further
     call rescans the bracket [x[best-1], x[best+1]] around the first maximum
     of the last scan, until that bracket is at most tol wide or a rescan no
-    longer shrinks it (float spacing). Every scan is np.linspace, so its
-    endpoints are exactly the bracket's: an optimum on lo or hi is returned
-    exactly. x_star is the smallest x among all evaluated points that reach
+    longer shrinks it (float spacing). Every scan is np.linspace(a, b, 257)
+    bit for bit, built from one fixed grid as arange * step + a with the last
+    point set to b (away from a zero step, where the box is too thin for any
+    rate), so its endpoints are exactly the bracket's: an optimum on lo or hi
+    is returned exactly. x_star is the smallest x among all evaluated points that reach
     the largest value, so exact ties resolve toward smaller x. (xs, fs) holds
     every evaluation, scan after scan.
 
@@ -54,7 +57,8 @@ def search_1d(f, lo: float, hi: float, tol: float = 1e-4):
     xs, fs = [], []
     a, b = lo, hi
     while True:
-        x = np.linspace(a, b, SCAN_POINTS)
+        x = _GRID * ((b - a) / (SCAN_POINTS - 1)) + a
+        x[-1] = b
         fx = f(x)
         xs.append(x)
         fs.append(fx)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uavcell import DeploymentVars, SimSpec, cli, montecarlo
+from uavcell import DeploymentVars, SimSpec, SystemParams, cli, montecarlo
 from uavcell.config import load_config
 from uavcell.optimize import SCAN_POINTS
 from uavcell.rates import MODES
@@ -337,7 +337,7 @@ def test_terminal_budget_counts_the_whole_command(cfg_path, tmp_path, capsys, mo
                                                   argv, rows):
     # about 1,500 expected disk terminals per realization at H=300, theta=0.8;
     # a sweep adds up its rows
-    params = load_config(cfg_path).system_params()
+    params = load_config(cfg_path).params
     per_row = montecarlo.expected_terminals(params, DeploymentVars.point(300.0, 0.8),
                                             SimSpec(mode="bc", realizations=5))
     monkeypatch.setattr(cli, "MAX_SIM_TERMINALS", int(rows * per_row * 1.01))
@@ -557,6 +557,45 @@ def test_plan_of_an_infinite_cell_names_the_altitude(tmp_path, capsys):
     assert captured.out == "" and not (tmp_path / "plan_mac.csv").exists()
 
 
+@pytest.mark.parametrize("argv, keys, point", [
+    (("optimize", "--mode", "mc"), "h_max_m/theta_min_rad/theta_max_rad", "1.7e+308, "),
+    (("plan", "--mode", "mc"), "h_max_m/theta_min_rad/theta_max_rad", "1.7e+308, "),
+    (("sweep", "--mode", "mc", "--var", "theta", "--range", "0.1:0.5:3"),
+     "h_min_m/h_max_m/range", "1.35e+308, "),
+    (("sweep", "--mode", "mc", "--var", "theta", "--range", "0.1:0.5:3", "--fixed-h", "1.5e308"),
+     "fixed-h/range", "1.5e+308, "),
+    (("sweep", "--mode", "mc", "--var", "h", "--range", "1e308:1.7e308:3"),
+     "range/theta_min_rad/theta_max_rad", "1e+308, "),
+    (("sweep", "--mode", "mc", "--var", "h", "--range", "1e308:1.7e308:3", "--fixed-theta",
+      "0.5"), "range/fixed-theta", "1e+308, half-beamwidth 0.5"),
+], ids=["optimize", "plan", "sweep-theta", "sweep-theta-fixed-h", "sweep-h",
+        "sweep-h-fixed-theta"])
+def test_non_finite_rate_names_the_keys_of_its_point(tmp_path, capsys, argv, keys, point):
+    # mc's rate is not finite near the float maximum of altitude; the error
+    # names the keys or flags that set the altitude, then the beamwidth
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(HUGE_BOX))
+    assert run(path, tmp_path, *argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        f"config error: {keys}: mc rate is not finite at altitude {point}")
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("mode, altitude", [("mc", 500.0), ("bc", 50.0), ("mac", 50.0)])
+def test_thin_beamwidth_box_fails_at_its_first_scan_point(tmp_path, capsys, mode, altitude):
+    # a box 100 ulps wide at 2e-308 rad scans with a step of 0; its first
+    # point has no finite rate in any mode
+    path = tmp_path / "thin.json"
+    path.write_text(json.dumps(dict(BASE, theta_min_rad=2e-308,
+                                    theta_max_rad=2e-308 + 100 * 5e-324)))
+    assert run(path, tmp_path, "optimize", "--mode", mode) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {'h_max_m' if mode == 'mc' else 'h_min_m'}/theta_min_rad/theta_max_rad: "
+        f"{mode} rate is not finite at altitude {altitude}, half-beamwidth 2e-308\n")
+
+
 def test_default_point_is_the_box_midpoint(cfg_path, tmp_path, capsys):
     assert run(cfg_path, tmp_path, "simulate", "--mode", "mc", "--realizations", "2") == 0
     report = parse_report(capsys.readouterr().out)
@@ -691,3 +730,61 @@ def test_loud_narrow_sweeps_print_no_warnings(tmp_path, capsys):
             err = capsys.readouterr().err
             assert err.startswith(f"config error: {ALPHA_KEYS}: ")
             assert len(err.splitlines()) == 1
+
+
+# one command per CSV the CLI writes
+CSV_COMMANDS = {
+    "optimize": ("optimize", "--mode", "mc", "--csv"),
+    "sweep": ("sweep", "--mode", "mc", "--var", "h", "--range", "100:500:5"),
+    "simulate": ("simulate", "--mode", "mac", "--realizations", "5", "--csv"),
+    "plan": ("plan", "--mode", "mc"),
+}
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["file", "under-a-file"])
+@pytest.mark.parametrize("command", CSV_COMMANDS)
+def test_unusable_out_exits_2(cfg_path, tmp_path, capsys, command, nested):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / "sub" if nested else blocker
+    assert run(cfg_path, out, *CSV_COMMANDS[command]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: --out: cannot write {out}/")
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == "" and blocker.read_text() == ""
+
+
+def test_out_is_created_only_for_a_csv(cfg_path, tmp_path, capsys):
+    out = tmp_path / "a" / "b"
+    assert run(cfg_path, out, "optimize", "--mode", "mc") == 0
+    assert not (tmp_path / "a").exists()
+    assert run(cfg_path, out, "optimize", "--mode", "mc", "--csv") == 0
+    assert (out / "optimize_mc_trace.csv").is_file()
+    assert capsys.readouterr().out.endswith(f"trace_csv={out / 'optimize_mc_trace.csv'}\n")
+
+
+def test_existing_out_makes_no_directory(cfg_path, tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("mkdir called")
+
+    monkeypatch.setattr(Path, "mkdir", refuse)
+    monkeypatch.setattr(os, "mkdir", refuse)
+    for argv in CSV_COMMANDS.values():
+        assert run(cfg_path, tmp_path, *argv) == 0
+    assert len(list(tmp_path.glob("*.csv"))) == len(CSV_COMMANDS)
+
+
+def test_one_system_params_per_command(cfg_path, tmp_path, capsys, monkeypatch):
+    built = []
+    post_init = SystemParams.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(SystemParams, "__post_init__", counted)
+    for argv in [*CSV_COMMANDS.values(), ("sweep", "--mode", "bc", "--var", "theta", "--range",
+                                          "0.3:0.6:3", "--with-sim", "--realizations", "5")]:
+        built.clear()
+        assert run(cfg_path, tmp_path, *argv) == 0
+        assert len(built) == 1, argv

@@ -1,0 +1,92 @@
+"""Golden bytes: the exit code, stdout, stderr and every CSV of fixed commands
+on the README's example config, pinned by sha256. A change that moves any
+byte of them fails here and prints the new digests; paste them into GOLDEN
+only when the change says why its output changed. The digests hold for
+numpy 2.4.6 on x86-64: vectorized libm kernels may round differently
+elsewhere.
+
+The commands run in a child process, so that stderr holds what a user sees
+(the test's log capture would swallow plan's hover warning). Run this file
+as a script to print the digests of the working directory's checkout:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from uavcell import cli
+from uavcell.rates import MODES
+
+ROOT = Path(__file__).resolve().parents[1]
+
+COMMANDS = {
+    **{f"optimize {mode} --csv": ("optimize", "--mode", mode, "--csv") for mode in MODES},
+    **{f"sweep {mode} {var}": ("sweep", "--mode", mode, "--var", var, "--range", span)
+       for mode in MODES for var, span in (("theta", "0.05:1.5:50"), ("h", "50:500:50"))},
+    **{f"plan {mode}": ("plan", "--mode", mode) for mode in MODES},  # bc exits 2
+}
+
+GOLDEN = {
+    "optimize mc --csv": "d54385342b6bd981f207032cf01f36f3b23eb2c7b4f3912c69a38ea50c9bb84b",
+    "optimize bc --csv": "24a3f6e2032a949dfd5bcf220c64664e5f454f0381dadb454c8970e9ead936bb",
+    "optimize mac --csv": "5e0261c7b1ae4eac9dcdc9d43f62f5f49fecff4cc30bebb87c16431cd0400586",
+    "sweep mc theta": "5791e130a06784fa5c16bd4d09dca161effe4d6a88fbec65cd0e8144a7d54068",
+    "sweep mc h": "69eb35a3703285471588c31ae89842fe94082042d62e13bcd795591f15c59902",
+    "sweep bc theta": "4f4d11bebf52e69caffca3c3f85b34406089aaa3b684380b01aa46b766d6320c",
+    "sweep bc h": "e76ca613962bde49134a9cdd38cdc1a93bc46bcae92c71d90e9974c64d6c3384",
+    "sweep mac theta": "c1934addb9cc65fe468932b2a12316f1187ff2e34651d8814490088aaaa9f37a",
+    "sweep mac h": "e4f80a2bff322f98612989ebb7d5f32ac3edcf3c358f39dabaa7c6faf7d3cd98",
+    "plan mc": "071f2410a155912fa256717e24c1880f01be905cfd327ab36196953a2c8349c7",
+    "plan bc": "d7a418c12c08f674616eb6c3c386f54cc56c9345bf4da1451893c64de496cee1",
+    "plan mac": "2094e401f063d99f784810f620e24e0a47f0718a42e9add369ce77352724edd3",
+}
+
+
+def readme_config() -> dict:
+    """The config example of the README's CLI section, its one JSON block."""
+    return json.loads((ROOT / "README.md").read_text().split("```json\n", 1)[1].split("```", 1)[0])
+
+
+def digests() -> dict:
+    """label -> sha256 of (exit code, stdout, stderr, {CSV name: bytes}) of
+    each command, run in a fresh directory with relative paths, so that the
+    paths printed in reports are the same in any checkout."""
+    result = {}
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        Path("cfg.json").write_text(json.dumps(readme_config()))
+        out = Path("out")
+        for label, argv in COMMANDS.items():
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                rc = cli.main(["--config", "cfg.json", "--out", str(out), *argv])
+            files = {}
+            if out.is_dir():
+                for path in sorted(out.iterdir()):
+                    files[path.name] = path.read_bytes()
+                    path.unlink()
+            record = (rc, stdout.getvalue(), stderr.getvalue(), files)
+            result[label] = hashlib.sha256(repr(record).encode()).hexdigest()
+    return result
+
+
+def test_readme_commands_keep_their_bytes():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, __file__], capture_output=True, text=True,
+                          env=env, check=False)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    found = json.loads(proc.stdout)
+    assert found == GOLDEN, "new digests:\n" + "\n".join(
+        f'    "{label}": "{digest}",' for label, digest in found.items())
+
+
+if __name__ == "__main__":
+    print(json.dumps(digests()))

@@ -41,6 +41,28 @@ def test_search_1d_boundary_maximum():
     assert x == 0.0
 
 
+def test_search_1d_scans_are_linspace_bit_for_bit():
+    # seeded brackets: beamwidth-like pairs in (0, pi/2), and pairs of either
+    # sign at one scale from 1e-300 to 1e300; a zero step (a subnormal
+    # width) is left out
+    rng = np.random.default_rng(257)
+    n = 5_000
+    pairs = np.sort(np.concatenate([
+        rng.uniform(0.0, math.pi / 2, (n, 2)),
+        rng.uniform(-1.0, 1.0, (n, 2)) * 10.0 ** rng.uniform(-300.0, 300.0, (n, 1))]), axis=1)
+    scans = []
+    checked = 0
+    for lo, hi in pairs.tolist():
+        if not (hi - lo) / (SCAN_POINTS - 1) > 0.0:
+            continue
+        scans.clear()
+        search_1d(lambda x: scans.append(x) or np.zeros_like(x), lo, hi, tol=1e308)
+        expected = np.linspace(lo, hi, SCAN_POINTS)
+        assert np.array_equal(scans[0].view(np.int64), expected.view(np.int64)), (lo, hi)
+        checked += 1
+    assert checked > 0.99 * len(pairs)
+
+
 def test_search_1d_degenerate_interval():
     x, fx, (xs, fs) = search_1d(lambda x: 5.0, 2.0, 2.0)
     assert (x, fx) == (2.0, 5.0)
