@@ -11,11 +11,10 @@ above tolerance.
 """
 from __future__ import annotations
 
-import argparse
-import functools
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -36,53 +35,134 @@ EXIT_GAP = 3
 _ALTITUDE_KEYS = {MC: "h_max_m", BC: "h_min_m", MAC: "h_min_m"}
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: parsing leaves it
-    unchanged, and building it costs more than a whole optimize command."""
-    parser = argparse.ArgumentParser(
-        prog="uavcell",
-        description="Altitude/beamwidth tradeoff tools for a UAV-mounted aerial cell")
-    parser.add_argument("--config", required=True, help="path to the JSON config")
-    parser.add_argument("--out", default=".", help="directory for CSV outputs")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the config seed")
-    sub = parser.add_subparsers(dest="command", required=True)
+# One option table per command-line level: option -> (dest, type, default,
+# choices, required, help). A type of None makes a flag, True when given.
+_GLOBAL = {"--config": ("config", str, None, None, True, "path to the JSON config"),
+           "--out": ("out", str, ".", None, False, "directory for CSV outputs"),
+           "--seed": ("seed", int, None, None, False, "override the config seed")}
+_MODE = {"--mode": ("mode", str, None, MODES, True, "")}
+_SIM = {"--realizations": ("realizations", int, 100, None, False, ""),
+        "--count-model": ("count_model", str, "poisson", ("poisson", "fixed"), False, "")}
+_COMMANDS = {  # command -> (help, options)
+    "optimize": ("closed-rule altitude + beamwidth search", {**_MODE,
+        "--tol": ("tol", float, 1e-4, None, False, "beamwidth search tolerance, radians"),
+        "--csv": ("csv", None, False, None, False, "also write the search trace CSV")}),
+    "sweep": ("tabulate the rate along one variable", {**_MODE,
+        "--var": ("var", str, None, ("h", "theta"), True, ""),
+        "--range": ("sweep_range", str, None, None, True, ""),
+        "--fixed-h": ("fixed_h", float, None, None, False,
+                      "altitude when sweeping theta (default: box midpoint)"),
+        "--fixed-theta": ("fixed_theta", float, None, None, False,
+                          "beamwidth when sweeping h (default: box midpoint)"),
+        "--with-sim": ("with_sim", None, False, None, False,
+                       "add an empirical Monte Carlo column"),
+        **_SIM}),
+    "simulate": ("Monte Carlo check of one operating point", {**_MODE,
+        "--altitude": ("altitude", float, None, None, False,
+                       "operating altitude (default: box midpoint)"),
+        "--theta": ("theta", float, None, None, False,
+                    "operating half-beamwidth (default: box midpoint)"),
+        **_SIM,
+        "--gap-tol": ("gap_tol", float, 0.05, None, False,
+                      "exit 3 when |empirical-analytic|/analytic exceeds this"),
+        "--csv": ("csv", None, False, None, False, "write per-realization CSV")}),
+    "plan": ("hex layout + visiting tour + hover schedule", _MODE),
+}
 
-    p = sub.add_parser("optimize", help="closed-rule altitude + beamwidth search")
-    p.add_argument("--mode", required=True, choices=MODES)
-    p.add_argument("--tol", type=float, default=1e-4,
-                   help="beamwidth search tolerance, radians")
-    p.add_argument("--csv", action="store_true", help="also write the search trace CSV")
 
-    p = sub.add_parser("sweep", help="tabulate the rate along one variable")
-    p.add_argument("--mode", required=True, choices=MODES)
-    p.add_argument("--var", required=True, choices=("h", "theta"))
-    p.add_argument("--range", required=True, metavar="LO:HI:N", dest="sweep_range")
-    p.add_argument("--fixed-h", type=float, default=None,
-                   help="altitude when sweeping theta (default: box midpoint)")
-    p.add_argument("--fixed-theta", type=float, default=None,
-                   help="beamwidth when sweeping h (default: box midpoint)")
-    p.add_argument("--with-sim", action="store_true",
-                   help="add an empirical Monte Carlo column")
-    p.add_argument("--realizations", type=int, default=100)
-    p.add_argument("--count-model", choices=("poisson", "fixed"), default="poisson")
+def _usage(prog: str, table, full: bool = False) -> str:
+    """The usage line of one level; with full, a line of help per option
+    and, at the top level, per command after it."""
+    rows = []
+    for option, (dest, kind, _, choices, required, help) in table.items():
+        if kind is not None:  # the value's placeholder, as argparse names it
+            option += " " + ("{%s}" % ",".join(choices) if choices
+                             else "LO:HI:N" if dest == "sweep_range" else dest.upper())
+        rows.append((option, required, help))
+    text = " ".join(left if required else f"[{left}]" for left, required, _ in rows)
+    if table is _GLOBAL:
+        text += " {%s} ..." % ",".join(_COMMANDS)
+        rows += [(name, True, help) for name, (help, _) in _COMMANDS.items()]
+    text = f"usage: {prog} [-h] {text}\n"
+    if full:
+        text += "\n" + "".join(f"  {left:<31}{help}".rstrip() + "\n" for left, _, help in
+                               [("-h, --help", True, "show this help message and exit"), *rows])
+    return text
 
-    p = sub.add_parser("simulate", help="Monte Carlo check of one operating point")
-    p.add_argument("--mode", required=True, choices=MODES)
-    p.add_argument("--altitude", type=float, default=None,
-                   help="operating altitude (default: box midpoint)")
-    p.add_argument("--theta", type=float, default=None,
-                   help="operating half-beamwidth (default: box midpoint)")
-    p.add_argument("--realizations", type=int, default=100)
-    p.add_argument("--count-model", choices=("poisson", "fixed"), default="poisson")
-    p.add_argument("--gap-tol", type=float, default=0.05,
-                   help="exit 3 when |empirical-analytic|/analytic exceeds this")
-    p.add_argument("--csv", action="store_true", help="write per-realization CSV")
 
-    p = sub.add_parser("plan", help="hex layout + visiting tour + hover schedule")
-    p.add_argument("--mode", required=True, choices=MODES)
-    return parser
+def _usage_error(prog: str, table, message: str):
+    """Exit 2 as argparse does: the usage line, then prog: error: message."""
+    sys.stderr.write(f"{_usage(prog, table)}{prog}: error: {message}\n")
+    raise SystemExit(EXIT_CONFIG)
+
+
+def _invalid_choice(value, choices) -> str:
+    return f"invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})"
+
+
+def _read_options(prog: str, table, argv, index: int, args, extras, command_word=False):
+    """Sets args from the options of table in argv[index:], in order, the
+    last occurrence winning, and returns where reading stopped. Any other
+    token goes to extras, except that with command_word the first one not
+    led by "-" ends the reading."""
+    def fail(message):
+        _usage_error(prog, table, f"argument {option}: {message}")
+
+    for dest, _, default, _, _, _ in table.values():
+        setattr(args, dest, default)
+    while index < len(argv):
+        token = argv[index]
+        index += 1
+        if token in ("-h", "--help"):
+            sys.stdout.write(_usage(prog, table, full=True))
+            raise SystemExit(EXIT_OK)
+        option, eq, value = token.partition("=")
+        if option not in table:
+            if command_word and not token.startswith("-"):
+                return index - 1
+            extras.append(token)
+            continue
+        dest, kind, _, choices, _, _ = table[option]
+        if kind is None and eq:
+            fail(f"ignored explicit argument {value!r}")
+        if kind is not None and not eq:
+            if index == len(argv) or argv[index].startswith("--") and " " not in argv[index]:
+                fail("expected one argument")
+            value, index = argv[index], index + 1
+        try:
+            value = True if kind is None else kind(value)
+        except ValueError:
+            fail(f"invalid {kind.__name__} value: {value!r}")
+        if choices and value not in choices:
+            fail(_invalid_choice(value, choices))
+        setattr(args, dest, value)
+    return index
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """The options of argv: the global ones before the command word, the
+    command's own after it. A usage error exits 2, worded as argparse words it."""
+    args, extras = SimpleNamespace(command=None), []
+    index = _read_options("uavcell", _GLOBAL, argv, 0, args, extras, command_word=True)
+    levels = [("uavcell", _GLOBAL)]
+    if index < len(argv):
+        args.command = argv[index]
+        if args.command not in _COMMANDS:
+            _usage_error("uavcell", _GLOBAL,
+                         "argument command: " + _invalid_choice(args.command, _COMMANDS))
+        levels.insert(0, (f"uavcell {args.command}", _COMMANDS[args.command][1]))
+        _read_options(*levels[0], argv, index + 1, args, extras)
+    for prog, table in levels:  # the command's required options first, as argparse
+        missing = [option for option, (dest, _, _, _, required, _) in table.items()
+                   if required and getattr(args, dest) is None]
+        if table is _GLOBAL and args.command is None:
+            missing.append("command")
+        if missing:
+            _usage_error(prog, table, f"the following arguments are required: "
+                                      f"{', '.join(missing)}")
+    if extras:
+        _usage_error("uavcell", _GLOBAL, f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def _fmt(value) -> str:
@@ -376,7 +456,7 @@ def cmd_plan(cfg: Config, args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
@@ -390,7 +470,6 @@ def main(argv=None) -> int:
             return cmd_simulate(cfg, args, seed)
         if args.command == "plan":
             return cmd_plan(cfg, args)
-        raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -18,8 +18,8 @@ the kept cells, one interval of rows per column, for the layout and the cap.
 """
 from __future__ import annotations
 
-import logging
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +27,6 @@ import numpy as np
 from .geometry import SQRT3, coverage_radius
 from .params import DeploymentVars, SystemParams
 from .rates import MC, MODES, cell_edge_rate_mc
-
-log = logging.getLogger(__name__)
 
 HOVER_DOMINANCE_MIN = 10.0
 
@@ -288,9 +286,9 @@ def assemble_plan(params: SystemParams, vars: DeploymentVars, mode: str,
     fly = base.fly_time_s
     dominance = (math.inf if base.tour_length_m == 0.0
                  else hover_total * v_max / base.tour_length_m)
-    if dominance < HOVER_DOMINANCE_MIN:
-        log.warning("hover time only %.3gx flying time; the hover-dominance "
-                    "assumption (>= %.0fx) does not hold", dominance, HOVER_DOMINANCE_MIN)
+    if dominance < HOVER_DOMINANCE_MIN and math.isfinite(fly):  # not for a plan that never ends
+        print("hover time only %.3gx flying time; the hover-dominance assumption (>= %.0fx) "
+              "does not hold" % (dominance, HOVER_DOMINANCE_MIN), file=sys.stderr)
     return MissionPlan(centers=base.centers, tour_length_m=base.tour_length_m,
                        hover_times_s=hover, fly_time_s=fly,
                        completion_time_s=hover_total + fly,

@@ -215,10 +215,9 @@ def test_seed_flag_overrides_config(cfg_path, tmp_path, capsys):
     assert reseeded.startswith(b"# seed=99\n")
 
 
-def test_cached_parser_parses_each_call_afresh(cfg_path, tmp_path, capsys):
-    # the parser is built once per process; nothing may carry over from one
-    # call to the next, a usage error included
-    assert cli.build_parser() is cli.build_parser()
+def test_each_call_parses_afresh(cfg_path, tmp_path, capsys):
+    # the option tables are shared by every call; nothing may carry over
+    # from one call to the next, a usage error included
     assert run(cfg_path, tmp_path, "sweep", "--mode", "bc", "--var", "theta",
                "--range", "0.3:0.6:3", "--with-sim", "--realizations", "7") == 0
     capsys.readouterr()
@@ -432,7 +431,7 @@ def test_plan_speed_scales_fly_time(cfg_path, tmp_path, capsys):
 
 def test_plan_hover_warning_printed_once(tmp_path):
     # one second of bc service per cell cannot dominate the flying; a child
-    # process shows stderr as a user sees it, without the test's log capture
+    # process shows stderr as a user sees it
     cfg = dict(BASE, period_s=1.0, h_min_m=300.0, theta_min_rad=0.5,
                theta_max_rad=1.2)
     path = tmp_path / "cfg.json"

@@ -5,8 +5,8 @@ only when the change says why its output changed. The digests hold for
 numpy 2.4.6 on x86-64: vectorized libm kernels may round differently
 elsewhere.
 
-The commands run in a child process, so that stderr holds what a user sees
-(the test's log capture would swallow plan's hover warning). Run this file
+The commands run in a child process, so that stderr holds what a user sees,
+plan's hover warning included. Run this file
 as a script to print the digests of the working directory's checkout:
 
     PYTHONPATH=src python tests/test_golden.py

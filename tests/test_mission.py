@@ -131,13 +131,15 @@ def test_assemble_plan_period_modes(params):
     assert set(plan.hover_times_s.tolist()) == {60.0}
 
 
-def test_hover_dominance_warning(params, caplog):
+def test_hover_dominance_warning(params, capsys):
     vars = DeploymentVars.point(100.0, math.pi / 4)
     # one second of hover per cell cannot dominate kilometers of flying
-    with caplog.at_level("WARNING", logger="uavcell.mission"):
-        plan = assemble_plan(params, vars, "bc", 1.0, 20.0, (1000.0, 800.0))
+    plan = assemble_plan(params, vars, "bc", 1.0, 20.0, (1000.0, 800.0))
     assert plan.hover_dominance < 10.0
-    assert any("hover" in rec.message for rec in caplog.records)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"hover time only {plan.hover_dominance:.3g}x flying time; the "
+                            "hover-dominance assumption (>= 10x) does not hold\n")
 
 
 def test_single_cell_plan_dominance_is_infinite(params):
