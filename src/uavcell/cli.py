@@ -178,21 +178,33 @@ def _report(pairs):
     print("\n".join([f"{key}={_fmt(value)}" for key, value in pairs]))
 
 
-def _distinct_reprs(values: np.ndarray):
-    """The repr of each value of a float64 array, lazily: each distinct bit
-    pattern is formatted once and its text looked up per row, since lattice
-    coordinates repeat down a plan. Keyed on the bits, not on ==, so 0.0 and
-    -0.0 keep their own text."""
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-    return iter(texts[inverse])
+# Rows formatted and written at a time: the text held at once is bounded
+# by this, not by the table.
+CSV_CHUNK_ROWS = 8192
+
+
+def _cell_texts(column: np.ndarray) -> list:
+    """The repr of each value of a numeric array, as Python would write it:
+    one orjson call for the whole array. orjson writes the same shortest
+    round-trip digits as repr but switches to exponent notation elsewhere
+    (1e16 for 1e+16, 0.00001 for 1e-05), so a float outside [1e-4, 1e16),
+    nan and inf (orjson's null) included, keeps its repr."""
+    import orjson  # only a command that writes a CSV pays for the import
+    texts = orjson.dumps(np.ascontiguousarray(column),
+                         option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    if column.dtype.kind == "f":
+        magnitude = np.abs(column)
+        odd = np.flatnonzero(~((magnitude >= 1e-4) & (magnitude < 1e16)))
+        for i, value in zip(odd.tolist(), column[odd].tolist()):
+            texts[i] = repr(value)
+    return texts
 
 
 def _write_csv(path: Path, header, columns, seed=None):
-    # csv module dialect, \r\n line ends. Columns hold each cell's text, as
-    # the repr of a Python number (arrays go through .tolist() or
-    # _distinct_reprs): the repr of a numpy scalar is np.float64(...)
-    rows = map(",".join, zip(*columns))
+    """Writes numeric columns (int or float arrays, or lists of Python
+    floats) as CSV, in the csv module's dialect with \\r\\n line ends, each
+    cell the repr of its Python number, CSV_CHUNK_ROWS rows at a time."""
+    columns = [np.asarray(column) for column in columns]
     try:
         try:
             fh = open(path, "w", newline="")
@@ -204,8 +216,11 @@ def _write_csv(path: Path, header, columns, seed=None):
     with fh:
         if seed is not None:
             fh.write(f"# seed={seed}\n")
-        fh.write("\r\n".join([",".join(header), *rows]))
-        fh.write("\r\n")
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+            texts = [_cell_texts(column[start:start + CSV_CHUNK_ROWS]) for column in columns]
+            fh.write("\r\n".join(map(",".join, zip(*texts))))
+            fh.write("\r\n")
 
 
 def _parse_range(text: str):
@@ -281,10 +296,7 @@ def cmd_optimize(cfg: Config, args) -> int:
     ]
     if args.csv:
         path = Path(args.out, f"optimize_{result.mode}_trace.csv")
-        h, theta, value = result.trace
-        _write_csv(path, ("h_m", "theta_rad", "value_bps_hz"),
-                   [_distinct_reprs(h), map(repr, theta.tolist()),
-                    map(repr, value.tolist())])
+        _write_csv(path, ("h_m", "theta_rad", "value_bps_hz"), result.trace)
         pairs.append(("trace_csv", path))
     _report(pairs)
     return EXIT_OK
@@ -317,13 +329,13 @@ def cmd_sweep(cfg: Config, args, seed: int) -> int:
         rate = rate_value(args.mode, params, h, theta)
     except ValueError as exc:
         raise ConfigError(f"{rate_keys}: {exc}") from exc
-    columns = [map(repr, values.tolist()), map(repr, rate.tolist())]
+    columns = [values, rate]
     if args.with_sim:
         points = [DeploymentVars.point(*point) for point in
                   zip(np.broadcast_to(h, n).tolist(), np.broadcast_to(theta, n).tolist())]
         spec = _sim_spec(args, seed, params, points)
-        columns.append(map(repr, [simulate_rate(params, point, spec).empirical_mean_bps_hz
-                                  for point in points]))
+        columns.append([simulate_rate(params, point, spec).empirical_mean_bps_hz
+                        for point in points])
 
     path = Path(args.out, f"sweep_{args.mode}_{args.var}.csv")
     if args.with_sim:
@@ -379,9 +391,8 @@ def cmd_simulate(cfg: Config, args, seed: int) -> int:
     ]
     if args.csv:
         path = Path(args.out, f"simulate_{result.mode}.csv")
-        columns = [map(repr, range(args.realizations)), map(repr, result.gt_counts.tolist()),
-                   map(repr, result.per_realization.tolist())]
-        _write_csv(path, ("realization_index", "gt_count", "value_bps_per_hz"), columns,
+        _write_csv(path, ("realization_index", "gt_count", "value_bps_per_hz"),
+                   [np.arange(args.realizations), result.gt_counts, result.per_realization],
                    seed=seed)
         pairs.append(("realizations_csv", path))
     _report(pairs)
@@ -434,10 +445,9 @@ def cmd_plan(cfg: Config, args) -> int:
     if plan.tour_length_m > 0.0 and not math.isfinite(plan.hover_dominance):
         raise ConfigError(f"{payload_key}/uav_speed_mps: hover/fly is not finite at "
                           f"{payload} and {cfg.uav_speed_mps}")
-    columns = [map(repr, range(len(plan.centers))), *map(_distinct_reprs, plan.centers.T),
-               _distinct_reprs(plan.hover_times_s), map(repr, cumulative.tolist())]
     path = Path(args.out, f"plan_{args.mode}.csv")
-    _write_csv(path, ("cell_index", "x_m", "y_m", "hover_s", "cumulative_s"), columns)
+    _write_csv(path, ("cell_index", "x_m", "y_m", "hover_s", "cumulative_s"),
+               [np.arange(len(plan.centers)), *plan.centers.T, plan.hover_times_s, cumulative])
 
     _report([
         ("mode", args.mode),

@@ -107,20 +107,76 @@ def test_corner_optimum_plans(tmp_path, capsys):
     assert (report["h_m"], report["theta_rad"]) == ("100.0", "0.45")
 
 
+def _per_row_join(header, columns) -> bytes:
+    # the reference: each row joined from the repr of its Python numbers
+    rows = [",".join(map(repr, row)) for row in zip(*(np.asarray(c).tolist() for c in columns))]
+    return ("\r\n".join([",".join(header), *rows]) + "\r\n").encode()
+
+
 def test_csv_rows_match_per_row_join(tmp_path):
-    # the last two columns repeat values, both zeros among them, and go
-    # through the distinct-value formatter as the strided columns of an
-    # (n, 2) array, like plan's x and y
-    columns = [list(range(-2, 3)), [-0.0, 1e-05, 1e+16, 5e-324, 0.1],
-               [5e-324, -0.0, 2**53 + 1, 1e+16, -7],
-               [0.0, -0.0, 0.1, -0.0, 0.0], [5e-324, 1e+16, 5e-324, 0.1, 1e+16]]
-    pairs = np.array(list(zip(*columns[3:])))
-    texts = [*(map(repr, column) for column in columns[:3]),
-             *map(cli._distinct_reprs, pairs.T)]
-    cli._write_csv(tmp_path / "t.csv", ("a", "b", "c", "d", "e"), texts)
-    rows = [",".join(map(repr, row)) for row in zip(*columns)]
-    assert ((tmp_path / "t.csv").read_bytes()
-            == ("\r\n".join(["a,b,c,d,e", *rows]) + "\r\n").encode())
+    # an int64 column, float columns with both zeros, the exponent switch
+    # points, a subnormal, 2**53 + 1 (rounds to 2**53) and repeated values, and
+    # the strided columns of an (n, 2) array, like plan's x and y
+    pairs = np.array([[0.0, 5e-324], [-0.0, 1e+16], [0.1, 5e-324], [-0.0, 0.1], [0.0, 1e+16]])
+    columns = [np.arange(-2, 3), np.array([-0.0, 1e-05, 1e+16, 5e-324, 0.1]),
+               np.array([5e-324, -0.0, 2**53 + 1, 1e+16, -7.0]), *pairs.T]
+    header = ("a", "b", "c", "d", "e")
+    cli._write_csv(tmp_path / "t.csv", header, columns)
+    assert (tmp_path / "t.csv").read_bytes() == _per_row_join(header, columns)
+    # one row past a chunk, magnitudes on both sides of the switch points, and
+    # a list column as sweep --with-sim passes it
+    n = cli.CSV_CHUNK_ROWS + 1
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 20, n)
+    columns = [np.arange(n), values, [float(n)] * n]
+    cli._write_csv(tmp_path / "t.csv", ("i", "x", "n"), columns, seed=3)
+    assert (tmp_path / "t.csv").read_bytes() == (
+        b"# seed=3\n" + _per_row_join(("i", "x", "n"), columns))
+
+
+def _ulp_neighbours(values: np.ndarray) -> np.ndarray:
+    return np.concatenate([np.nextafter(values, -np.inf), values, np.nextafter(values, np.inf)])
+
+
+def test_cell_texts_equal_repr():
+    # seeded random bit patterns, most with exponents around the formatter's
+    # switch points 1e-4 and 1e16, the rest over every finite exponent and
+    # the subnormals
+    rng = np.random.default_rng(2024)
+    bits = rng.integers(0, 2**64, 1_000_000, dtype=np.uint64)
+    exponents = rng.integers(1023 - 16, 1023 + 56, 950_000, dtype=np.uint64)
+    bits[:950_000] = (bits[:950_000] & np.uint64(0x800FFFFFFFFFFFFF)) | (exponents << np.uint64(52))
+    bits[-20_000:] &= np.uint64(0x800FFFFFFFFFFFFF)  # subnormals and zeros
+    randoms = bits.view(np.float64)
+    powers_of_ten = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    floats = np.concatenate([
+        randoms[np.isfinite(randoms)],
+        _ulp_neighbours(np.concatenate([powers_of_ten, -powers_of_ten])),
+        np.ldexp(1.0, np.arange(-1074, 1024)), -np.ldexp(1.0, np.arange(-1074, 1024)),
+        _ulp_neighbours(np.array([1e-4, -1e-4, 1e16, -1e16])),
+        np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2**53 + 1.0,
+                  np.finfo(np.float64).max, np.nan, np.inf, -np.inf]),
+    ])
+    assert np.count_nonzero((floats > 0) & (floats < 2.2250738585072014e-308)) > 1000
+    assert cli._cell_texts(floats) == list(map(repr, floats.tolist()))
+    ints = np.concatenate([rng.integers(-2**63, 2**63, 10_000, dtype=np.int64),
+                           np.array([-2**63, -1, 0, 1, 2**63 - 1])])
+    assert cli._cell_texts(ints) == list(map(repr, ints.tolist()))
+
+
+def test_csv_memory_does_not_grow_with_rows(tmp_path):
+    # the text of one chunk at a time, not of the table, is held at once
+    peaks, sizes = [], []
+    for rows in (20_000, 200_000):
+        columns = [np.arange(rows), np.linspace(0.1, 5e3, rows), np.linspace(-1.0, 7.0, rows)]
+        tracemalloc.start()
+        try:
+            cli._write_csv(tmp_path / f"{rows}.csv", ("i", "x", "y"), columns)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        sizes.append((tmp_path / f"{rows}.csv").stat().st_size)
+    assert abs(peaks[1] - peaks[0]) < sizes[1] / 10, (peaks, sizes)
 
 
 def _pinned(tmp_path, width, height):
