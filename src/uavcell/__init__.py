@@ -9,7 +9,6 @@ Monte Carlo validator, and a fly-hover-and-communicate mission planner.
 """
 from .params import (G0_DEFAULT, DeploymentVars, DerivedConstants, SystemParams,
                      dbm_to_watts, derived_constants)
-from .channel import snr_mac, snr_mc
 from .geometry import (DISK, HEXAGON, CellLayout, GtRealization, coverage_radius,
                        hex_contains, make_layout, sample_gts)
 from .rates import BC, MAC, MC, MODES, cell_edge_rate_mc, rate_value
@@ -21,7 +20,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "G0_DEFAULT", "SystemParams", "DeploymentVars", "DerivedConstants",
-    "derived_constants", "dbm_to_watts", "snr_mc", "snr_mac",
+    "derived_constants", "dbm_to_watts",
     "HEXAGON", "DISK", "CellLayout", "GtRealization", "coverage_radius",
     "make_layout", "hex_contains", "sample_gts",
     "MC", "BC", "MAC", "MODES", "rate_value", "cell_edge_rate_mc",

@@ -25,7 +25,7 @@ from .montecarlo import (MAX_SIM_REALIZATIONS, MAX_SIM_TERMINALS, SimSpec, expec
                          simulate_rate)
 from .optimize import optimize
 from .params import DeploymentVars
-from .rates import BC, MAC, MC, MODES, rate_value
+from .rates import BC, MAC, MC, MODES, check_domain, rate_value
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -325,8 +325,16 @@ def cmd_sweep(cfg: Config, args, seed: int) -> int:
 
     values = np.arange(n) * ((hi - lo) / (n - 1)) + lo
     h, theta = (fixed, values) if args.var == "theta" else (values, fixed)
+    # CSV_CHUNK_ROWS rows at a time, so that the kernel's temporaries do not
+    # grow with the sweep. Every row's domain is checked first: an error
+    # names the row that one call over the whole column would name.
+    rate = np.empty(n)
     try:
-        rate = rate_value(args.mode, params, h, theta)
+        check_domain(h, theta)
+        for start in range(0, n, CSV_CHUNK_ROWS):
+            rows = slice(start, start + CSV_CHUNK_ROWS)
+            point = (fixed, values[rows]) if args.var == "theta" else (values[rows], fixed)
+            rate[rows] = rate_value(args.mode, params, *point)
     except ValueError as exc:
         raise ConfigError(f"{rate_keys}: {exc}") from exc
     columns = [values, rate]

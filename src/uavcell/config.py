@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .params import (DeploymentVars, DerivedConstantError, SystemParams, dbm_to_watts,
                      derived_constants)
@@ -18,26 +18,14 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Config:
-    beta0: float
-    bandwidth_hz: float
-    p_downlink_dbm: float
-    p_uplink_dbm: float
-    noise_psd_dbm_hz: float
-    density_per_m2: float
-    h_min_m: float
-    h_max_m: float
-    theta_min_rad: float
-    theta_max_rad: float
-    # the link budget in SI units, built once by load_config
-    params: SystemParams = field(repr=False, compare=False)
-    area_width_m: float | None = None
-    area_height_m: float | None = None
-    file_size_bits: float | None = None
-    period_s: float | None = None
-    uav_speed_mps: float | None = None
-    seed: int = 0
+class Config(namedtuple("Config", "beta0 bandwidth_hz p_downlink_dbm p_uplink_dbm "
+                        "noise_psd_dbm_hz density_per_m2 h_min_m h_max_m theta_min_rad "
+                        "theta_max_rad params area_width_m area_height_m file_size_bits "
+                        "period_s uav_speed_mps seed", defaults=(None,) * 5 + (0,))):
+    """A loaded config: its values, then params, the link budget in SI units
+    that load_config builds once from them, then the optional values."""
+
+    __slots__ = ()
 
     def deployment_box(self) -> DeploymentVars:
         """The feasible box, parked at its lower corner."""

@@ -14,7 +14,7 @@ is read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -36,19 +36,15 @@ def coverage_radius(altitude_m: float, half_beamwidth_rad: float) -> float:
     return altitude_m * math.tan(half_beamwidth_rad)
 
 
-@dataclass(frozen=True)
-class CellLayout:
+class CellLayout(namedtuple("CellLayout", "circumradius_m hex_area_m2 disk_area_m2 "
+                            "mean_gts_hex mean_gts_disk")):
     """Derived geometry of one cell: its radius, areas and mean terminal counts.
 
     mean_gts_hex / mean_gts_disk are the expected terminal counts K_s and K_s'
     in the hexagonal cell and the full coverage disk.
     """
 
-    circumradius_m: float
-    hex_area_m2: float
-    disk_area_m2: float
-    mean_gts_hex: float
-    mean_gts_disk: float
+    __slots__ = ()
 
 
 def make_layout(params: SystemParams, vars: DeploymentVars) -> CellLayout:
@@ -84,25 +80,21 @@ def hex_contains(xy, circumradius: float):
 _RHOMBUS_EDGES = np.array([[1.0, 0.0], [-0.5, SQRT3 / 2], [-0.5, -SQRT3 / 2], [1.0, 0.0]])
 
 
-@dataclass(frozen=True)
-class GtRealization:
+class GtRealization(namedtuple("GtRealization",
+                               "counts r2 region circumradius_m uniforms side_seed")):
     """Terminals of one or more realizations, relative to the cell center.
 
     The realizations lie back to back: the first counts[0] terminals belong
     to realization 0, the next counts[1] to realization 1, and so on. Each
-    terminal is stored as its squared ground distance r2 and the uniforms
-    r2 was computed from, one row per variable (see _uniform_in_region).
+    terminal is stored as its squared ground distance r2 (m^2) and the
+    uniforms r2 was computed from, one row per variable (see
+    _uniform_in_region): shape (1, n) for the disk, (2, n) for the hexagon.
     Drawn into a Workspace, r2 and uniforms are views of its arrays, valid
     until the next draw into it. The uniform that only positions read comes
     from a side stream seeded by side_seed.
     """
 
-    counts: np.ndarray    # terminals per realization
-    r2: np.ndarray        # squared ground distance of each terminal, m^2
-    region: str
-    circumradius_m: float
-    uniforms: np.ndarray  # shape (1, n) for the disk, (2, n) for the hexagon
-    side_seed: int        # seed of the stream that positions draw W from
+    __slots__ = ()
 
     @property
     def positions(self) -> np.ndarray:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
@@ -39,16 +39,12 @@ class PlanTooLarge(ValueError):
     """The rectangle needs more than MAX_PLAN_CELLS cells."""
 
 
-@dataclass(frozen=True)
-class MissionPlan:
-    """A visiting order over cell centers plus the hover/fly time budget."""
+class MissionPlan(namedtuple("MissionPlan", "centers tour_length_m hover_times_s fly_time_s "
+                             "completion_time_s hover_dominance")):
+    """A visiting order over cell centers, shape (n, 2), plus the hover/fly
+    time budget."""
 
-    centers: np.ndarray  # shape (n, 2), visit order
-    tour_length_m: float
-    hover_times_s: np.ndarray = field(repr=False)
-    fly_time_s: float
-    completion_time_s: float
-    hover_dominance: float
+    __slots__ = ()
 
 
 def _serpentine(columns: list, y_rank: list) -> list:

@@ -20,7 +20,7 @@ depends on the realization count, not on (seed, i) alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 import numpy as np
@@ -58,36 +58,30 @@ MAX_SIM_TERMINALS = 10**8
 MAX_SIM_REALIZATIONS = 10**6
 
 
-@dataclass(frozen=True)
-class SimSpec:
+class SimSpec(namedtuple("SimSpec", "mode realizations seed count_model",
+                         defaults=(100, 0, "poisson"))):
     """What to simulate: mode, realization count, seeding and count model.
     The cell shape is the mode's own: the hexagon for mc, the disk otherwise."""
 
-    mode: str
-    realizations: int = 100
-    seed: int = 0
-    count_model: str = "poisson"
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.realizations < 1:
             raise ValueError(f"need at least 1 realization, got {self.realizations}")
         if self.count_model not in ("poisson", "fixed"):
             raise ValueError(f"count_model must be 'poisson' or 'fixed', got {self.count_model!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class SimResult:
+class SimResult(namedtuple("SimResult", "mode empirical_mean_bps_hz per_realization gt_counts "
+                           "params vars")):
     """A simulation's realizations and their mean. The closed form, the
-    standard error and the gap between them are computed when first read."""
-
-    mode: str
-    empirical_mean_bps_hz: float
-    per_realization: np.ndarray
-    gt_counts: np.ndarray
-    params: SystemParams
-    vars: DeploymentVars
+    standard error and the gap between them are computed when first read,
+    and kept in the instance's __dict__ (no __slots__, unlike the other
+    records)."""
 
     @cached_property
     def analytic_bps_hz(self) -> float:

@@ -8,7 +8,7 @@ bracket around the previous scan's peak.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
@@ -19,15 +19,12 @@ SCAN_POINTS = 257
 _GRID = np.arange(SCAN_POINTS, dtype=float)
 
 
-@dataclass(frozen=True)
-class OptResult:
-    mode: str
-    h_star_m: float
-    theta_star_rad: float
-    objective_bps_hz: float
-    trace: tuple = field(repr=False)  # columns: h_m, theta_rad, value_bps_hz
-    method: str = "closed-rule"
-    h_indifferent: bool = False
+class OptResult(namedtuple("OptResult", "mode h_star_m theta_star_rad objective_bps_hz trace "
+                           "method h_indifferent", defaults=("closed-rule", False))):
+    """An optimum and how it was found. trace holds the evaluated points as
+    three columns: h_m, theta_rad, value_bps_hz."""
+
+    __slots__ = ()
 
 
 def search_1d(f, lo: float, hi: float, tol: float = 1e-4):

@@ -2,11 +2,15 @@
 
 All quantities are kept in SI units internally (watts, Hz, meters, radians).
 Power-like config values arrive in dBm and are converted once at the boundary.
+
+uavcell's records are namedtuple subclasses: immutable, compared and hashed
+by value, and built without generating code per class. A record's checks run
+in its constructor; _replace copies a record without them.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 # Boresight coefficient of the symmetric directional antenna model:
@@ -18,9 +22,9 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
-@dataclass(frozen=True)
-class SystemParams:
-    """Link-budget constants of the aerial cell.
+class SystemParams(namedtuple("SystemParams", "beta0 bandwidth_hz p_downlink_w p_uplink_w "
+                              "noise_psd_w_hz density_per_m2 g0", defaults=(G0_DEFAULT,))):
+    """Link-budget constants of the aerial cell, immutable and hashed by value.
 
     Attributes:
         beta0: channel power gain at the 1 m reference distance.
@@ -30,37 +34,27 @@ class SystemParams:
         noise_psd_w_hz: noise power spectral density N0.
         density_per_m2: ground-terminal density rho.
         g0: antenna boresight coefficient (gain = g0/theta^2 in the main lobe,
-            0 outside it).
+            0 outside it), G0_DEFAULT unless given.
     """
 
-    beta0: float
-    bandwidth_hz: float
-    p_downlink_w: float
-    p_uplink_w: float
-    noise_psd_w_hz: float
-    density_per_m2: float
-    g0: float = G0_DEFAULT
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("beta0", "bandwidth_hz", "p_downlink_w", "p_uplink_w",
-                     "noise_psd_w_hz", "density_per_m2", "g0"):
-            value = getattr(self, name)
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
             if not value > 0.0:
                 raise ValueError(f"SystemParams.{name} must be > 0, got {value}")
+        return self
 
 
-@dataclass(frozen=True)
-class DeploymentVars:
+class DeploymentVars(namedtuple("DeploymentVars", "altitude_m half_beamwidth_rad h_min_m "
+                                "h_max_m theta_min_rad theta_max_rad")):
     """Operating point (altitude, half-beamwidth) together with its feasible box."""
 
-    altitude_m: float
-    half_beamwidth_rad: float
-    h_min_m: float
-    h_max_m: float
-    theta_min_rad: float
-    theta_max_rad: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 < self.h_min_m <= self.altitude_m <= self.h_max_m:
             raise ValueError(
                 f"altitude must satisfy 0 < h_min <= H <= h_max, got "
@@ -73,6 +67,7 @@ class DeploymentVars:
             raise ValueError(
                 f"half-beamwidth must satisfy theta <= theta_max < pi/2, got "
                 f"theta={self.half_beamwidth_rad}, theta_max={self.theta_max_rad}")
+        return self
 
     @classmethod
     def point(cls, altitude_m: float, half_beamwidth_rad: float) -> "DeploymentVars":
@@ -89,22 +84,21 @@ class DeploymentVars:
             self.h_min_m, self.h_max_m, self.theta_min_rad, self.theta_max_rad)
 
 
-@dataclass(frozen=True)
-class DerivedConstants:
+class DerivedConstants(namedtuple("DerivedConstants", "alpha eta")):
     """Aggregate SNR scales of the link budget.
 
     alpha = P_d * g0 * beta0 / (N0 * W)      downlink, dimensionless * m^2
     eta   = P_u * beta0 * g0 * rho * pi / (N0 * W)   uplink, dimensionless
     """
 
-    alpha: float
-    eta: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("alpha", "eta"):
-            value = getattr(self, name)
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
             if not 0.0 < value < math.inf:
                 raise DerivedConstantError(name, value)
+        return self
 
 
 class DerivedConstantError(ValueError):

@@ -26,13 +26,18 @@ MAC = "mac"
 MODES = (MC, BC, MAC)
 
 
-def _check_domain(h, theta):
+def check_domain(altitude_m, half_beamwidth_rad):
+    """The operating points as float arrays. The first one outside the model
+    domain (H > 0, 0 < theta < pi/2) raises ValueError, naming its value."""
+    h = np.asarray(altitude_m, dtype=float)
+    theta = np.asarray(half_beamwidth_rad, dtype=float)
     # min/max propagate NaN, which then fails the comparison like any bad value
     if h.size and not h.min() > 0.0:
         raise ValueError(f"altitude must be > 0, got {h[~(h > 0.0)].flat[0]}")
     if theta.size and not (theta.min() > 0.0 and theta.max() < math.pi / 2):
         bad = ~((theta > 0.0) & (theta < math.pi / 2))
         raise ValueError(f"half-beamwidth must lie in (0, pi/2), got {theta[bad].flat[0]}")
+    return h, theta
 
 
 def _edge_rate(params: SystemParams, h, theta):
@@ -85,9 +90,7 @@ def rate_value(mode: str, params: SystemParams, altitude_m, half_beamwidth_rad):
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    h = np.asarray(altitude_m, dtype=float)
-    theta = np.asarray(half_beamwidth_rad, dtype=float)
-    _check_domain(h, theta)
+    h, theta = check_domain(altitude_m, half_beamwidth_rad)
     with np.errstate(all="ignore"):
         value = _VALUE_FNS[mode](params, h, theta)
     if np.ndim(value) == 0:

@@ -1,4 +1,6 @@
-"""Per-terminal receive SNR under the directional antenna and LoS channel.
+"""Per-terminal receive SNR under the directional antenna and LoS channel,
+a reference for the tests: the package's rates integrate these in closed
+form, and the Monte Carlo checks evaluate them terminal by terminal.
 
 The UAV points a symmetric directional antenna straight down. A ground
 terminal at horizontal distance r from the cell center is inside the main
@@ -11,7 +13,7 @@ import math
 
 import numpy as np
 
-from .params import DeploymentVars, SystemParams, derived_constants
+from uavcell.params import DeploymentVars, SystemParams, derived_constants
 
 # relative slack when checking r against the coverage edge; boundary inclusive
 _EDGE_RTOL = 1e-12

@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from uavcell import DeploymentVars, coverage_radius, snr_mac, snr_mc
+from snr_reference import snr_mac, snr_mc
+from uavcell import DeploymentVars, coverage_radius
 
 POINT = DeploymentVars.point(100.0, math.pi / 10)
 

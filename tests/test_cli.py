@@ -15,7 +15,7 @@ import pytest
 from uavcell import DeploymentVars, SimSpec, SystemParams, cli, montecarlo
 from uavcell.config import load_config
 from uavcell.optimize import SCAN_POINTS
-from uavcell.rates import MODES
+from uavcell.rates import MODES, rate_value
 
 BASE = {
     "beta0": 1.42e-4,
@@ -177,6 +177,42 @@ def test_csv_memory_does_not_grow_with_rows(tmp_path):
             tracemalloc.stop()
         sizes.append((tmp_path / f"{rows}.csv").stat().st_size)
     assert abs(peaks[1] - peaks[0]) < sizes[1] / 10, (peaks, sizes)
+
+
+@pytest.mark.parametrize("mode, var", [("mc", "theta"), ("bc", "theta"), ("bc", "h"),
+                                       ("mac", "h")])
+def test_sweep_evaluation_memory_is_its_two_columns(cfg_path, tmp_path, monkeypatch, mode, var):
+    # the rates are evaluated a chunk of rows at a time: beyond the sweep
+    # values and the rates, 8 B per row each, one chunk's temporaries are
+    # held, and the rates are those of one call over the whole column
+    rows = 400_000
+    lo, hi = (50.0, 500.0) if var == "h" else (0.05, 1.5)
+    written = []
+    monkeypatch.setattr(cli, "_write_csv", lambda path, header, columns: written.append(columns))
+    tracemalloc.start()
+    try:
+        assert run(cfg_path, tmp_path, "sweep", "--mode", mode, "--var", var,
+                   "--range", f"{lo}:{hi}:{rows}") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * rows + 1_000_000, peak
+    values, rate = written[0]
+    fixed_h = (BASE["h_min_m"] + BASE["h_max_m"]) / 2
+    fixed_theta = (BASE["theta_min_rad"] + BASE["theta_max_rad"]) / 2
+    point = (fixed_h, values) if var == "theta" else (values, fixed_theta)
+    assert np.array_equal(rate, rate_value(mode, load_config(cfg_path).params, *point))
+
+
+def test_sweep_names_a_row_outside_the_domain_before_a_non_finite_one(cfg_path, tmp_path,
+                                                                      capsys):
+    # no rate is finite at this altitude, and the last row's beamwidth, in
+    # the second chunk, rounds onto pi/2: the domain error comes first, as
+    # it does for one call over the whole column
+    assert run(cfg_path, tmp_path, "sweep", "--mode", "mc", "--var", "theta", "--fixed-h",
+               "1e-170", "--range", "0.05:1.5707963267948963:8371") == 2
+    assert capsys.readouterr().err == ("config error: fixed-h/range: half-beamwidth must lie "
+                                       "in (0, pi/2), got 1.5707963267948966\n")
 
 
 def _pinned(tmp_path, width, height):
@@ -623,8 +659,11 @@ def test_plan_of_an_infinite_cell_names_the_altitude(tmp_path, capsys):
      "range/theta_min_rad/theta_max_rad", "1e+308, "),
     (("sweep", "--mode", "mc", "--var", "h", "--range", "1e308:1.7e308:3", "--fixed-theta",
       "0.5"), "range/fixed-theta", "1e+308, half-beamwidth 0.5"),
+    # H^2 overflows first at row 8,380, in the second chunk of rates
+    (("sweep", "--mode", "mc", "--var", "h", "--range", "1:1.6e154:10001"),
+     "range/theta_min_rad/theta_max_rad", "1.3408000000000002e+154, half-beamwidth 0.775"),
 ], ids=["optimize", "plan", "sweep-theta", "sweep-theta-fixed-h", "sweep-h",
-        "sweep-h-fixed-theta"])
+        "sweep-h-fixed-theta", "sweep-h-second-chunk"])
 def test_non_finite_rate_names_the_keys_of_its_point(tmp_path, capsys, argv, keys, point):
     # mc's rate is not finite near the float maximum of altitude; the error
     # names the keys or flags that set the altitude, then the beamwidth
@@ -831,13 +870,13 @@ def test_existing_out_makes_no_directory(cfg_path, tmp_path, capsys, monkeypatch
 
 def test_one_system_params_per_command(cfg_path, tmp_path, capsys, monkeypatch):
     built = []
-    post_init = SystemParams.__post_init__
+    new = SystemParams.__new__
 
-    def counted(self):
-        built.append(self)
-        post_init(self)
+    def counted(cls, *args, **kwargs):
+        built.append(new(cls, *args, **kwargs))
+        return built[-1]
 
-    monkeypatch.setattr(SystemParams, "__post_init__", counted)
+    monkeypatch.setattr(SystemParams, "__new__", counted)
     for argv in [*CSV_COMMANDS.values(), ("sweep", "--mode", "bc", "--var", "theta", "--range",
                                           "0.3:0.6:3", "--with-sim", "--realizations", "5")]:
         built.clear()

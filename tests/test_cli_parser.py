@@ -2,9 +2,10 @@
 
 reference_parser() is the argparse parser the CLI used to build. Valid
 command lines must parse to the same values under both, and invalid ones
-must exit 2 with argparse's error text. The two documented departures are
-asserted on their own: no option prefixes, and a value led by a single "-"
-is taken as a value.
+must exit 2 with argparse's error text. The three documented departures
+are asserted on their own: no option prefixes, a value led by a single "-"
+is taken as a value, and so is a value "--" after "=" (Python 3.11's
+argparse drops it and stores an empty list).
 """
 import argparse
 import json
@@ -70,8 +71,9 @@ def reference_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the value text of each option; None for a flag
-TEXT = st.text(max_size=6)
+# the value text of each option; None for a flag. "--" is a departure,
+# asserted on its own
+TEXT = st.text(max_size=6).filter(lambda text: text != "--")
 FLOATS = st.floats().map(repr)
 INTS = st.integers(-10**9, 10**9).map(str)
 MODE = st.sampled_from(MODES)
@@ -231,6 +233,20 @@ def test_single_dash_value_is_a_value(tmp_path, capsys):
     assert captured.err == "config error: range: altitude sweep must be positive, got -1.0:2.0\n"
 
 
+def test_double_dash_value_is_a_value(capsys):
+    argvs = {"config": ["--config=--", "optimize", "--mode=mc"],
+             "out": ["--config=c", "--out=--", "optimize", "--mode=mc"],
+             "sweep_range": ["--config=c", "sweep", "--mode=mc", "--var=h", "--range=--"]}
+    for dest, argv in argvs.items():
+        assert getattr(cli.parse_args(argv), dest) == "--"
+    # a typed option converts it, as any other text
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_args(["--config=c", "--seed=--", "optimize", "--mode=mc"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "uavcell: error: argument --seed: invalid int value: '--'\n")
+
+
 @pytest.mark.parametrize("command", [None, *COMMANDS])
 @pytest.mark.parametrize("flag", ["-h", "--help"])
 def test_help_exits_0_and_names_every_option(command, flag, capsys):
@@ -255,9 +271,11 @@ def _child_env():
 
 def test_cli_import_leaves_out_argparse_and_logging():
     # each costs milliseconds of import on every command line start; orjson
-    # is imported by the first CSV a command writes
+    # is imported by the first CSV a command writes, the records are
+    # namedtuples, and the per-terminal SNR is a test-side reference
     code = ("import sys; before = set(sys.modules); import uavcell.cli; "
-            "print(sorted({'argparse', 'logging', 'orjson'} & (set(sys.modules) - before)))")
+            "print(sorted({'argparse', 'logging', 'orjson', 'dataclasses', 'uavcell.channel'}"
+            " & (set(sys.modules) - before)))")
     proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
                           capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n"

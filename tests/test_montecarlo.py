@@ -1,5 +1,4 @@
 """Seeded Monte Carlo validation of the analytic throughput expressions."""
-import dataclasses
 import math
 import tracemalloc
 
@@ -7,8 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import make_params
+from snr_reference import snr_mac, snr_mc
 from uavcell import (MODES, DeploymentVars, SimSpec, cell_edge_rate_mc, coverage_radius,
-                     dbm_to_watts, geometry, montecarlo, simulate_rate, snr_mac, snr_mc)
+                     dbm_to_watts, geometry, montecarlo, simulate_rate)
 from uavcell.geometry import SQRT3
 
 
@@ -112,8 +112,8 @@ def _recorded_run(monkeypatch, params, point, spec):
         real = geometry.sample_gts(*args, **kwargs)
         # a draw is a view of the simulation's workspace, which the next
         # draw overwrites; its positions are built from the copied uniforms
-        draws.append(dataclasses.replace(real, counts=real.counts.copy(), r2=real.r2.copy(),
-                                         uniforms=real.uniforms.copy()))
+        draws.append(real._replace(counts=real.counts.copy(), r2=real.r2.copy(),
+                                   uniforms=real.uniforms.copy()))
         return real
 
     monkeypatch.setattr(montecarlo, "sample_gts", record)
