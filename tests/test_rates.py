@@ -14,6 +14,7 @@ import pytest
 
 from uavcell import (DeploymentVars, cell_edge_rate_mc, coverage_radius, derived_constants,
                      rate_value)
+from uavcell.rates import check_domain
 from conftest import make_params
 
 
@@ -162,3 +163,62 @@ def test_vanishing_power_kills_the_rate():
     starved = make_params(p_downlink_w=1e-300)
     assert rate_value("mc", starved, 100.0, 0.5) < 1e-250
     assert rate_value("bc", starved, 100.0, 0.5) < 1e-250
+
+
+# The rate guard on every input form an operating point can take. The first
+# coordinate out of the domain is named, altitude before beamwidth; an empty
+# array has no element to check; a rate that is not finite names its point.
+_FORMS = {
+    "float": float,
+    "numpy scalar": np.float64,
+    "0-d array": np.array,
+    "1-element array": lambda v: np.array([v]),
+    "empty array": lambda v: np.array([], dtype=float),
+}
+_SCALAR_FORMS = ("float", "numpy scalar", "0-d array")
+_GUARD_POINTS = [(math.nan, 0.5), (0.0, 0.5), (-1.0, 0.5), (100.0, 0.0), (100.0, math.nan),
+                 (100.0, math.pi / 2), (100.0, 0.5), (100.0, 1e-200)]
+
+
+def _guard_error(h_form, t_form, h, theta):
+    """The message the guard raises at this point, or None."""
+    if h_form != "empty array" and not h > 0.0:
+        return f"altitude must be > 0, got {h}"
+    if t_form != "empty array" and not 0.0 < theta < math.pi / 2:
+        return f"half-beamwidth must lie in (0, pi/2), got {theta}"
+    return None
+
+
+@pytest.mark.parametrize("h, theta", _GUARD_POINTS)
+@pytest.mark.parametrize("t_form", _FORMS)
+@pytest.mark.parametrize("h_form", _FORMS)
+def test_rate_guard_on_every_input_form(params, h_form, t_form, h, theta):
+    h_in, t_in = _FORMS[h_form](h), _FORMS[t_form](theta)
+    shapes = (np.shape(h_in), np.shape(t_in))
+    empty = "empty array" in (h_form, t_form)
+    message = _guard_error(h_form, t_form, h, theta)
+    if message is None:
+        checked = check_domain(h_in, t_in)
+        assert [type(x) for x in checked] == [np.ndarray, np.ndarray]
+        assert [x.dtype for x in checked] == [np.float64, np.float64]
+        assert tuple(x.shape for x in checked) == shapes
+    else:
+        with pytest.raises(ValueError) as exc:
+            check_domain(h_in, t_in)
+        assert str(exc.value) == message
+    for mode in ("mc", "bc", "mac"):
+        rate_message = message
+        if message is None and theta == 1e-200 and not empty:
+            rate_message = f"{mode} rate is not finite at altitude {h}, half-beamwidth {theta}"
+        if rate_message is not None:
+            with pytest.raises(ValueError) as exc:
+                rate_value(mode, params, h_in, t_in)
+            assert str(exc.value) == rate_message
+            continue
+        value = rate_value(mode, params, h_in, t_in)
+        if h_form in _SCALAR_FORMS and t_form in _SCALAR_FORMS:
+            assert type(value) is float and math.isfinite(value)
+        else:
+            assert type(value) is np.ndarray and value.dtype == np.float64
+            assert value.shape == np.broadcast_shapes(*shapes)
+            assert np.isfinite(value).all()
