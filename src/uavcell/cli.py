@@ -25,7 +25,7 @@ from .montecarlo import (MAX_SIM_REALIZATIONS, MAX_SIM_TERMINALS, SimSpec, expec
                          simulate_rate)
 from .optimize import optimize
 from .params import DeploymentVars
-from .rates import BC, MAC, MC, MODES, check_domain, rate_value
+from .rates import BC, MAC, MC, MODES, rate_value
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -323,14 +323,15 @@ def cmd_sweep(cfg: Config, args, seed: int) -> int:
         rate_keys = "range/" + ("fixed-theta" if args.fixed_theta is not None
                                 else "theta_min_rad/theta_max_rad")
 
+    # every row lies in [LO, HI], the range checked above: the last one is
+    # set to HI, as it may round past it
     values = np.arange(n) * ((hi - lo) / (n - 1)) + lo
+    values[-1] = hi
     h, theta = (fixed, values) if args.var == "theta" else (values, fixed)
     # CSV_CHUNK_ROWS rows at a time, so that the kernel's temporaries do not
-    # grow with the sweep. Every row's domain is checked first: an error
-    # names the row that one call over the whole column would name.
+    # grow with the sweep
     rate = np.empty(n)
     try:
-        check_domain(h, theta)
         for start in range(0, n, CSV_CHUNK_ROWS):
             rows = slice(start, start + CSV_CHUNK_ROWS)
             point = (fixed, values[rows]) if args.var == "theta" else (values[rows], fixed)

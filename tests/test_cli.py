@@ -204,15 +204,13 @@ def test_sweep_evaluation_memory_is_its_two_columns(cfg_path, tmp_path, monkeypa
     assert np.array_equal(rate, rate_value(mode, load_config(cfg_path).params, *point))
 
 
-def test_sweep_names_a_row_outside_the_domain_before_a_non_finite_one(cfg_path, tmp_path,
-                                                                      capsys):
-    # no rate is finite at this altitude, and the last row's beamwidth, in
-    # the second chunk, rounds onto pi/2: the domain error comes first, as
-    # it does for one call over the whole column
+def test_sweep_names_its_first_non_finite_row(cfg_path, tmp_path, capsys):
+    # no rate is finite at this altitude; the last row, in the second chunk,
+    # is HI, inside the domain, so the first row is the one named
     assert run(cfg_path, tmp_path, "sweep", "--mode", "mc", "--var", "theta", "--fixed-h",
                "1e-170", "--range", "0.05:1.5707963267948963:8371") == 2
-    assert capsys.readouterr().err == ("config error: fixed-h/range: half-beamwidth must lie "
-                                       "in (0, pi/2), got 1.5707963267948966\n")
+    assert capsys.readouterr().err == ("config error: fixed-h/range: mc rate is not finite "
+                                       "at altitude 1e-170, half-beamwidth 0.05\n")
 
 
 def _pinned(tmp_path, width, height):
@@ -274,6 +272,17 @@ def test_sweep_rows_and_header(cfg_path, tmp_path, capsys):
     assert len(lines) == 6
     assert [float(l.split(",")[0]) for l in lines[1:]] == [100.0, 200.0, 300.0,
                                                            400.0, 500.0]
+
+
+@pytest.mark.parametrize("lo, n", [(0.05, 8371), (1e-3, 8261), (0.3, 8289)])
+def test_theta_sweep_ends_exactly_at_hi(cfg_path, tmp_path, capsys, lo, n):
+    # lo + (n - 1) * step rounds up to pi/2 for these ranges
+    hi = 1.5707963267948963
+    assert run(cfg_path, tmp_path, "sweep", "--mode", "bc", "--var", "theta",
+               "--range", f"{lo}:{hi}:{n}") == 0
+    lines = (tmp_path / "sweep_bc_theta.csv").read_text().splitlines()
+    assert len(lines) == n + 1
+    assert lines[-1].split(",")[0] == repr(hi)
 
 
 def test_sweep_minimal_grid(cfg_path, tmp_path, capsys):

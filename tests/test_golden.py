@@ -38,11 +38,11 @@ GOLDEN = {
     "optimize bc --csv": "24a3f6e2032a949dfd5bcf220c64664e5f454f0381dadb454c8970e9ead936bb",
     "optimize mac --csv": "5e0261c7b1ae4eac9dcdc9d43f62f5f49fecff4cc30bebb87c16431cd0400586",
     "sweep mc theta": "5791e130a06784fa5c16bd4d09dca161effe4d6a88fbec65cd0e8144a7d54068",
-    "sweep mc h": "69eb35a3703285471588c31ae89842fe94082042d62e13bcd795591f15c59902",
+    "sweep mc h": "51afa5c0de99be60484406cac4c6e07b854fb0b20e25c4d0b55f8f8675d665c0",
     "sweep bc theta": "4f4d11bebf52e69caffca3c3f85b34406089aaa3b684380b01aa46b766d6320c",
-    "sweep bc h": "e76ca613962bde49134a9cdd38cdc1a93bc46bcae92c71d90e9974c64d6c3384",
+    "sweep bc h": "bff2fe77f0c693ef743c888ee2c33987b397ff6fad5834cae72ae3690fdf9d15",
     "sweep mac theta": "c1934addb9cc65fe468932b2a12316f1187ff2e34651d8814490088aaaa9f37a",
-    "sweep mac h": "e4f80a2bff322f98612989ebb7d5f32ac3edcf3c358f39dabaa7c6faf7d3cd98",
+    "sweep mac h": "68bdc412aef594d89c8163f92f28c7887bbc0cafb4b8c87e57055767948304cc",
     "plan mc": "071f2410a155912fa256717e24c1880f01be905cfd327ab36196953a2c8349c7",
     "plan bc": "d7a418c12c08f674616eb6c3c386f54cc56c9345bf4da1451893c64de496cee1",
     "plan mac": "2094e401f063d99f784810f620e24e0a47f0718a42e9add369ce77352724edd3",
