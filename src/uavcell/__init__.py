@@ -12,7 +12,7 @@ from .params import (G0_DEFAULT, DeploymentVars, DerivedConstants, SystemParams,
 from .geometry import (DISK, HEXAGON, CellLayout, GtRealization, coverage_radius,
                        hex_contains, make_layout, sample_gts)
 from .rates import BC, MAC, MC, MODES, cell_edge_rate_mc, rate_value
-from .optimize import OptResult, optimize, optimize_2d_grid, search_1d
+from .optimize import OptResult, optimize, search_1d
 from .montecarlo import SimResult, SimSpec, simulate_rate
 from .mission import MissionPlan, assemble_plan, layout_centers, plan_tour
 
@@ -24,7 +24,7 @@ __all__ = [
     "HEXAGON", "DISK", "CellLayout", "GtRealization", "coverage_radius",
     "make_layout", "hex_contains", "sample_gts",
     "MC", "BC", "MAC", "MODES", "rate_value", "cell_edge_rate_mc",
-    "OptResult", "search_1d", "optimize", "optimize_2d_grid",
+    "OptResult", "search_1d", "optimize",
     "SimSpec", "SimResult", "simulate_rate",
     "MissionPlan", "layout_centers", "plan_tour", "assemble_plan",
 ]

@@ -15,9 +15,9 @@ import numpy as np
 from scipy.integrate import quad
 
 from uavcell import (DeploymentVars, SimSpec, cli, derived_constants,
-                     optimize, optimize_2d_grid, plan_tour, rate_value,
-                     simulate_rate)
+                     optimize, plan_tour, rate_value, simulate_rate)
 import conftest
+from grid_reference import optimize_2d_grid
 
 LN2 = math.log(2.0)
 SQRT3 = math.sqrt(3.0)

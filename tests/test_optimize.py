@@ -1,6 +1,5 @@
 """Nested array scans for the beamwidth and the per-mode deployment
 optimizers."""
-import importlib
 import math
 import time
 
@@ -9,8 +8,10 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+import grid_reference
 from conftest import make_params
-from uavcell import DeploymentVars, optimize, optimize_2d_grid, rate_value, search_1d
+from grid_reference import optimize_2d_grid
+from uavcell import DeploymentVars, optimize, rate_value, search_1d
 from uavcell.optimize import SCAN_POINTS
 
 
@@ -220,7 +221,7 @@ def test_grid_search_ties_toward_smaller_h_then_theta(params, box, monkeypatch):
     def plateau(mode, params, h, theta):
         return ((h >= hs[2]) & (theta >= ts[3])).astype(float)
 
-    monkeypatch.setattr(importlib.import_module("uavcell.optimize"), "rate_value", plateau)
+    monkeypatch.setattr(grid_reference, "rate_value", plateau)
     res = optimize_2d_grid(params, box, "bc", n=n)
     assert (res.h_star_m, res.theta_star_rad, res.objective_bps_hz) == (hs[2], ts[3], 1.0)
     trace_h, trace_t, _ = res.trace
