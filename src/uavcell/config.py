@@ -28,15 +28,15 @@ class Config(namedtuple("Config", "beta0 bandwidth_hz p_downlink_dbm p_uplink_db
     __slots__ = ()
 
     def deployment_box(self) -> DeploymentVars:
-        """The feasible box, parked at its lower corner."""
-        return DeploymentVars(
-            altitude_m=self.h_min_m, half_beamwidth_rad=self.theta_min_rad,
-            h_min_m=self.h_min_m, h_max_m=self.h_max_m,
-            theta_min_rad=self.theta_min_rad, theta_max_rad=self.theta_max_rad)
+        """The feasible box, parked at its lower corner. load_config has
+        checked the box, so DeploymentVars' checks are not run again."""
+        return DeploymentVars._make((self.h_min_m, self.theta_min_rad, self.h_min_m,
+                                     self.h_max_m, self.theta_min_rad, self.theta_max_rad))
 
 
 _DBM = ("p_downlink_dbm", "p_uplink_dbm", "noise_psd_dbm_hz")
 _REQUIRED = ("beta0", "bandwidth_hz", *_DBM, "density_per_m2", "h_min_m", "h_max_m")
+_REQUIRED_SET = frozenset(_REQUIRED)
 _OPTIONAL_POSITIVE = ("area_width_m", "area_height_m", "file_size_bits", "period_s",
                       "uav_speed_mps")
 # the keys each derived SNR scale depends on
@@ -75,7 +75,8 @@ def _angle(raw: dict, stem: str) -> float:
 
 def load_config(path) -> Config:
     try:
-        with open(path, "rb") as fh:
+        # unbuffered: the file is read whole, in one call
+        with open(path, "rb", buffering=0) as fh:
             raw = json.loads(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
@@ -83,28 +84,24 @@ def load_config(path) -> Config:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a flat JSON object of key: value pairs")
-    unknown = sorted(set(raw) - _KNOWN)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-
-    missing = [key for key in _REQUIRED if key not in raw]
-    if missing:
-        raise ConfigError(f"{missing[0]}: missing required key")
+    if not raw.keys() <= _KNOWN:
+        raise ConfigError(f"unknown config keys: {', '.join(sorted(raw.keys() - _KNOWN))}")
+    if not raw.keys() >= _REQUIRED_SET:
+        missing = next(key for key in _REQUIRED if key not in raw)
+        raise ConfigError(f"{missing}: missing required key")
     fields = {key: _number(raw, key) for key in _REQUIRED}
     fields["theta_min_rad"] = _angle(raw, "theta_min")
     fields["theta_max_rad"] = _angle(raw, "theta_max")
     for key in _OPTIONAL_POSITIVE:
         if key in raw:
             fields[key] = _number(raw, key)
-    if "seed" in raw:
-        seed = raw["seed"]
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ConfigError(f"seed: expected an integer, got {seed!r}")
-        if seed < 0:
-            raise ConfigError(f"seed: must be >= 0, got {seed}")
-        fields["seed"] = seed
-
-    return Config(params=_validate(fields), **fields)
+    seed = fields["seed"] = raw.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ConfigError(f"seed: expected an integer, got {seed!r}")
+    if seed < 0:
+        raise ConfigError(f"seed: must be >= 0, got {seed}")
+    fields["params"] = _validate(fields)
+    return Config._make(map(fields.get, Config._fields))
 
 
 def _validate(fields: dict) -> SystemParams:

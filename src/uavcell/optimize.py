@@ -13,7 +13,7 @@ from collections import namedtuple
 import numpy as np
 
 from .params import DeploymentVars, SystemParams
-from .rates import BC, MAC, MC, MODES, rate_value
+from .rates import MAC, MC, MODES, rate_value
 
 SCAN_POINTS = 257
 _GRID = np.arange(SCAN_POINTS, dtype=float)
@@ -51,7 +51,7 @@ def search_1d(f, lo: float, hi: float, tol: float = 1e-4):
     if lo == hi:
         fx = f(lo)
         return lo, fx, (np.array([lo]), np.array([fx]))
-    xs, fs = [], []
+    xs, fs, peaks = [], [], []
     a, b = lo, hi
     while True:
         x = _GRID * ((b - a) / (SCAN_POINTS - 1)) + a
@@ -59,38 +59,35 @@ def search_1d(f, lo: float, hi: float, tol: float = 1e-4):
         fx = f(x)
         xs.append(x)
         fs.append(fx)
-        best = int(np.argmax(fx))  # first max: ties toward smaller x
+        # a scan's first max is its smallest x reaching the scan's best value
+        best = int(fx.argmax())
+        peaks.append((fx[best], -x[best]))
         a2 = float(x[max(best - 1, 0)])
         b2 = float(x[min(best + 1, SCAN_POINTS - 1)])
         if not tol < b2 - a2 < b - a:
             break
         a, b = a2, b2
-    xs, fs = np.concatenate(xs), np.concatenate(fs)
-    f_star = fs.max()
-    return float(xs[fs == f_star].min()), float(f_star), (xs, fs)
-
-
-# Closed altitude rule per mode. mc: the rate is non-decreasing in altitude,
-# so H* = h_max. bc: strictly decreasing, so H* = h_min. mac: the rate does
-# not depend on altitude; h_min is reported and the result is flagged
-# h_indifferent.
-_ALTITUDE_RULES = {
-    MC: lambda box: box.h_max_m,
-    BC: lambda box: box.h_min_m,
-    MAC: lambda box: box.h_min_m,
-}
+    f_star, x_star = max(peaks)  # the best value, then the smallest x reaching it
+    return float(-x_star), float(f_star), (np.concatenate(xs), np.concatenate(fs))
 
 
 def optimize(mode: str, params: SystemParams, box: DeploymentVars,
              tol: float = 1e-4) -> OptResult:
-    """Altitude from the mode's closed rule, then a 1-D beamwidth search."""
+    """Altitude from the mode's closed rule, then a 1-D beamwidth search.
+
+    The rules: the mc rate is non-decreasing in altitude, so H* = h_max; the
+    bc rate is strictly decreasing, so H* = h_min; the mac rate does not
+    depend on altitude, so h_min is reported and the result is flagged
+    h_indifferent."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    h_star = _ALTITUDE_RULES[mode](box)
+    h_star = box.h_max_m if mode == MC else box.h_min_m
     theta_star, f_star, (ts, vs) = search_1d(
         lambda t: rate_value(mode, params, h_star, t),
         box.theta_min_rad, box.theta_max_rad, tol=tol)
+    hs = np.empty(len(ts))
+    hs.fill(h_star)
     return OptResult(mode=mode, h_star_m=h_star, theta_star_rad=theta_star,
-                     objective_bps_hz=f_star, trace=(np.full(len(ts), h_star), ts, vs),
+                     objective_bps_hz=f_star, trace=(hs, ts, vs),
                      h_indifferent=(mode == MAC))
 

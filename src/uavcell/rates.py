@@ -25,16 +25,25 @@ BC = "bc"
 MAC = "mac"
 MODES = (MC, BC, MAC)
 
+# ufunc reductions, called without the Python frame of ndarray.min/max
+_MIN, _MAX = np.minimum.reduce, np.maximum.reduce
+
 
 def check_domain(altitude_m, half_beamwidth_rad):
     """The operating points as float arrays. The first one outside the model
     domain (H > 0, 0 < theta < pi/2) raises ValueError, naming its value."""
     h = np.asarray(altitude_m, dtype=float)
     theta = np.asarray(half_beamwidth_rad, dtype=float)
-    # min/max propagate NaN, which then fails the comparison like any bad value
-    if h.size and not h.min() > 0.0:
+    # min/max propagate NaN, which then fails the comparison like any bad
+    # value; an empty array reduces to the identity, which passes
+    if not (float(h) if h.ndim == 0 else _MIN(h, axis=None, initial=math.inf)) > 0.0:
         raise ValueError(f"altitude must be > 0, got {h[~(h > 0.0)].flat[0]}")
-    if theta.size and not (theta.min() > 0.0 and theta.max() < math.pi / 2):
+    if theta.ndim == 0:
+        low = high = float(theta)
+    else:
+        low = _MIN(theta, axis=None, initial=math.inf)
+        high = _MAX(theta, axis=None, initial=-math.inf)
+    if not (low > 0.0 and high < math.pi / 2):
         bad = ~((theta > 0.0) & (theta < math.pi / 2))
         raise ValueError(f"half-beamwidth must lie in (0, pi/2), got {theta[bad].flat[0]}")
     return h, theta
@@ -45,6 +54,7 @@ def _edge_rate(params: SystemParams, h, theta):
     return np.log1p(alpha * np.cos(theta)**2 / (theta**2 * h**2)) / LN2
 
 
+@np.errstate(all="ignore")
 def _mc_value(params: SystemParams, h, theta):
     rho = params.density_per_m2
     return 1.5 * SQRT3 * rho * h**2 * np.tan(theta)**2 * _edge_rate(params, h, theta)
@@ -62,11 +72,13 @@ def _disk_mean(s, c):
             - np.log1p(m)) / c
 
 
+@np.errstate(all="ignore")
 def _bc_value(params: SystemParams, h, theta):
     s = derived_constants(params).alpha / (theta**2 * h**2)
     return _disk_mean(s, np.tan(theta)**2) / LN2
 
 
+@np.errstate(all="ignore")
 def _mac_value(params: SystemParams, h, theta):
     c = np.tan(theta)**2
     value = _disk_mean(derived_constants(params).eta * c / theta**2, c) / LN2
@@ -91,13 +103,14 @@ def rate_value(mode: str, params: SystemParams, altitude_m, half_beamwidth_rad):
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     h, theta = check_domain(altitude_m, half_beamwidth_rad)
-    with np.errstate(all="ignore"):
-        value = _VALUE_FNS[mode](params, h, theta)
-    if np.ndim(value) == 0:
+    value = _VALUE_FNS[mode](params, h, theta)
+    if value.ndim == 0:
         value = float(value)
         if math.isfinite(value):
             return value
-    elif np.isfinite(value).all():
+    # finite when neither extreme is infinite or NaN
+    elif (-math.inf < _MIN(value, axis=None, initial=math.inf)
+          and _MAX(value, axis=None, initial=-math.inf) < math.inf):
         return value
     bad = np.argmin(np.isfinite(value))
     h, theta = np.broadcast_arrays(h, theta)
