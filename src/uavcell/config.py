@@ -100,8 +100,7 @@ def load_config(path) -> Config:
         raise ConfigError(f"seed: expected an integer, got {seed!r}")
     if seed < 0:
         raise ConfigError(f"seed: must be >= 0, got {seed}")
-    fields["params"] = _validate(fields)
-    return Config._make(map(fields.get, Config._fields))
+    return Config(params=_validate(fields), **fields)
 
 
 def _validate(fields: dict) -> SystemParams:

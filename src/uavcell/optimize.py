@@ -41,8 +41,9 @@ def search_1d(f, lo: float, hi: float, tol: float = 1e-4):
     the largest value, so exact ties resolve toward smaller x. (xs, fs) holds
     every evaluation, scan after scan.
 
-    f must map a 1-D numpy array to an array of one value per point. It is
-    called on a single float only when lo == hi, as f(lo).
+    f must map a 1-D numpy array to an array of one value per point, none
+    of them NaN (a NaN raises ValueError). It is called on a single float
+    only when lo == hi, as f(lo).
     """
     if not lo <= hi:
         raise ValueError(f"need lo <= hi, got [{lo}, {hi}]")
@@ -59,8 +60,11 @@ def search_1d(f, lo: float, hi: float, tol: float = 1e-4):
         fx = f(x)
         xs.append(x)
         fs.append(fx)
-        # a scan's first max is its smallest x reaching the scan's best value
+        # a scan's first max is its smallest x reaching the scan's best
+        # value, or its first NaN
         best = int(fx.argmax())
+        if fx[best] != fx[best]:
+            raise ValueError(f"f is NaN at x={x[best]}")
         peaks.append((fx[best], -x[best]))
         a2 = float(x[max(best - 1, 0)])
         b2 = float(x[min(best + 1, SCAN_POINTS - 1)])

@@ -108,10 +108,9 @@ def rate_value(mode: str, params: SystemParams, altitude_m, half_beamwidth_rad):
         value = float(value)
         if math.isfinite(value):
             return value
-    # finite when neither extreme is infinite or NaN
     elif (-math.inf < _MIN(value, axis=None, initial=math.inf)
           and _MAX(value, axis=None, initial=-math.inf) < math.inf):
-        return value
+        return value  # neither extreme is infinite or NaN: every value is finite
     bad = np.argmin(np.isfinite(value))
     h, theta = np.broadcast_arrays(h, theta)
     raise ValueError(f"{mode} rate is not finite at altitude {h.flat[bad]}, "

@@ -114,6 +114,13 @@ def test_search_1d_rejects_bad_tol(tol):
         search_1d(quadratic, 0.0, 1.0, tol=tol)
 
 
+@pytest.mark.parametrize("f", [lambda x: np.where(x > 0.5, np.nan, x),
+                               lambda x: np.where(x < 0.5, np.nan, -x)])
+def test_search_1d_rejects_nan_values(f):
+    with pytest.raises(ValueError, match="NaN"):
+        search_1d(f, 0.0, 1.0)
+
+
 def test_search_1d_survives_multimodal_wiggle():
     # coarse scan plus local refinement should land on the global peak
     f = lambda x: np.sin(5 * x) + 0.5 * x
