@@ -891,3 +891,31 @@ def test_one_system_params_per_command(cfg_path, tmp_path, capsys, monkeypatch):
         built.clear()
         assert run(cfg_path, tmp_path, *argv) == 0
         assert len(built) == 1, argv
+
+
+# Python frames entered in uavcell's own modules by one optimize command:
+# parse, load and check the config (15 numbers), two scans of the beamwidth
+# search, each one rate_value call, and the report. Upper bounds, so that a
+# wrapper layer added to this path fails here without any timing.
+OPTIMIZE_FRAME_BUDGET = {"mc": 54, "bc": 54, "mac": 54}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_optimize_call_budget(cfg_path, tmp_path, capsys, mode):
+    package = os.path.dirname(cli.__file__) + os.sep
+    frames = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            frames.append(frame.f_code.co_name)
+
+    argv = ("optimize", "--mode", mode)
+    assert run(cfg_path, tmp_path, *argv) == 0  # fills the derived-constants cache
+    sys.setprofile(profile)
+    try:
+        rc = run(cfg_path, tmp_path, *argv)
+    finally:
+        sys.setprofile(None)
+    assert rc == 0
+    assert frames.count("rate_value") == 2
+    assert len(frames) <= OPTIMIZE_FRAME_BUDGET[mode], sorted(frames)
