@@ -27,7 +27,7 @@ spec = SimSpec(mode="bc", realizations=100, seed=7)
 print(f"broadcast, half-beamwidth {theta:.4f} rad, 100 realizations, seed 7")
 print(f"{'H_m':>6} {'analytic':>10} {'empirical':>10} {'stderr':>9} {'gap':>9}")
 for h in (100.0, 200.0, 300.0, 400.0, 500.0):
-    res = simulate_rate(params, DeploymentVars.point(h, theta), spec)
+    res = simulate_rate(params, DeploymentVars(h, theta), spec)
     print(f"{h:6.0f} {res.analytic_bps_hz:10.4f} {res.empirical_mean_bps_hz:10.4f}"
           f" {res.empirical_stderr_bps_hz:9.5f} {res.relative_gap:9.2e}")
 

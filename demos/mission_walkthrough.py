@@ -40,7 +40,7 @@ print(f"{'theta_rad':>10} {'cells':>6} {'edge_bps/Hz':>12} {'hover_s':>9} "
       f"{'fly_s':>8} {'total_s':>9} {'hover/fly':>10}")
 
 for theta in (0.3, 0.5, 0.7, 0.9, 1.1):
-    vars = DeploymentVars.point(altitude, theta)
+    vars = DeploymentVars(altitude, theta)
     with contextlib.redirect_stderr(io.StringIO()):  # the table shows the ratio itself
         plan = assemble_plan(params, vars, "mc", file_bits, speed, area)
     edge = cell_edge_rate_mc(params, vars)
@@ -54,7 +54,7 @@ print("\nfewer, fatter cells always finish sooner here: the edge link decays"
       "\nshow the hover-dominance assumption fraying as flying catches up.\n")
 
 chosen = 0.7
-vars = DeploymentVars.point(altitude, chosen)
+vars = DeploymentVars(altitude, chosen)
 plan = assemble_plan(params, vars, "mc", file_bits, speed, area)
 print(f"tour at theta={chosen}: {len(plan.centers)} cells, "
       f"{plan.tour_length_m:.0f} m of flying, first five stops:")

@@ -13,8 +13,7 @@ import math
 
 import numpy as np
 
-from uavcell import (DeploymentVars, SystemParams, dbm_to_watts, optimize,
-                     rate_value)
+from uavcell import SystemParams, dbm_to_watts, optimize, rate_value
 
 params = SystemParams(
     beta0=1.42e-4,
@@ -45,10 +44,7 @@ print("\npeak beamwidth per altitude (narrows as H grows):")
 for h, curve in zip(altitudes, curves):
     print(f"  H={h:5.0f} m  theta*={thetas[int(np.argmax(curve))]:.3f} rad")
 
-box = DeploymentVars(altitude_m=100.0, half_beamwidth_rad=0.3,
-                     h_min_m=50.0, h_max_m=500.0,
-                     theta_min_rad=0.05, theta_max_rad=1.5)
-best = optimize("mc", params, box)
+best = optimize("mc", params, h_range=(50.0, 500.0), theta_range=(0.05, 1.5))
 print(f"\njoint optimum over the box: H*={best.h_star_m:.0f} m (the ceiling), "
       f"theta*={best.theta_star_rad:.3f} rad, {best.objective_bps_hz:.1f} bps/Hz")
 print(f"(at these altitudes the peaks sit past the 1.5 rad hardware cap,"

@@ -11,8 +11,7 @@ peak too, little here (1.3243 to 1.3239 rad) but to 1.358 rad at 1e-5 per m^2.
 """
 import numpy as np
 
-from uavcell import (DeploymentVars, SystemParams, dbm_to_watts, optimize,
-                     rate_value)
+from uavcell import SystemParams, dbm_to_watts, optimize, rate_value
 
 
 def make_params(rho):
@@ -35,12 +34,9 @@ curves = [rate_value("mac", make_params(rho), 100.0, thetas) for rho in densitie
 for theta, *vals in zip(thetas, *curves):
     print(f"{theta:10.2f}", *(f"{v:11.3f}" for v in vals))
 
-box = DeploymentVars(altitude_m=100.0, half_beamwidth_rad=0.3,
-                     h_min_m=50.0, h_max_m=500.0,
-                     theta_min_rad=0.05, theta_max_rad=1.5)
 print("\noptimizer verdict per density:")
 for rho in densities:
-    best = optimize("mac", make_params(rho), box)
+    best = optimize("mac", make_params(rho), h_range=(50.0, 500.0), theta_range=(0.05, 1.5))
     note = "altitude left free" if best.h_indifferent else ""
     print(f"  rho={rho:<6} theta*={best.theta_star_rad:.4f} rad "
           f"({np.degrees(best.theta_star_rad):.2f} deg)  "

@@ -268,15 +268,24 @@ def _sim_spec(args, seed: int, params, points) -> SimSpec:
             f"Monte Carlo budget of {MAX_SIM_TERMINALS:,} (--realizations="
             f"{args.realizations}, density_per_m2={params.density_per_m2}); lower either, "
             "or simulate smaller cells")
+    if spec.count_model == "fixed":  # each realization draws round(mean) terminals
+        one = spec._replace(realizations=1)
+        for vars in points:
+            if round(mean := expected_terminals(params, vars, one)) == 0:
+                raise ConfigError(
+                    f"--count-model: the fixed count rounds {mean:.3g} expected terminals to 0 "
+                    f"at altitude {vars.altitude_m}, half-beamwidth {vars.half_beamwidth_rad}, "
+                    "so nothing would be simulated; use --count-model poisson or a larger cell")
     return spec
 
 
-def _optimum(mode: str, params, box: DeploymentVars, tol: float = 1e-4):
-    """The mode's optimum in the box. A rate that is not finite on the way
-    names the keys of the point it failed at: the altitude that the mode's
-    rule picked, then the beamwidth range."""
+def _optimum(mode: str, cfg: Config, tol: float = 1e-4):
+    """The mode's optimum in the config's box. A rate that is not finite on
+    the way names the keys of the point it failed at: the altitude that the
+    mode's rule picked, then the beamwidth range."""
     try:
-        return optimize(mode, params, box, tol=tol)
+        return optimize(mode, cfg.params, (cfg.h_min_m, cfg.h_max_m),
+                        (cfg.theta_min_rad, cfg.theta_max_rad), tol=tol)
     except ValueError as exc:
         raise ConfigError(f"{_ALTITUDE_KEYS[mode]}/theta_min_rad/theta_max_rad: {exc}") from exc
 
@@ -284,7 +293,7 @@ def _optimum(mode: str, params, box: DeploymentVars, tol: float = 1e-4):
 def cmd_optimize(cfg: Config, args) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         raise ConfigError(f"--tol: must be finite and > 0, got {args.tol}")
-    result = _optimum(args.mode, cfg.params, cfg.deployment_box(), tol=args.tol)
+    result = _optimum(args.mode, cfg, tol=args.tol)
     pairs = [
         ("mode", result.mode),
         ("h_star_m", result.h_star_m),
@@ -340,7 +349,7 @@ def cmd_sweep(cfg: Config, args, seed: int) -> int:
         raise ConfigError(f"{rate_keys}: {exc}") from exc
     columns = [values, rate]
     if args.with_sim:
-        points = [DeploymentVars.point(*point) for point in
+        points = [DeploymentVars(*point) for point in
                   zip(np.broadcast_to(h, n).tolist(), np.broadcast_to(theta, n).tolist())]
         spec = _sim_spec(args, seed, params, points)
         columns.append([simulate_rate(params, point, spec).empirical_mean_bps_hz
@@ -375,7 +384,7 @@ def cmd_simulate(cfg: Config, args, seed: int) -> int:
     altitude = args.altitude if args.altitude is not None else _midpoint(cfg.h_min_m, cfg.h_max_m)
     theta = (args.theta if args.theta is not None
              else _midpoint(cfg.theta_min_rad, cfg.theta_max_rad))
-    vars = cfg.deployment_box().at(altitude_m=altitude, half_beamwidth_rad=theta)
+    vars = DeploymentVars(altitude, theta)
     spec = _sim_spec(args, seed, params, [vars])
     result = simulate_rate(params, vars, spec)
     # a subnormal closed form has too few digits to compare against, like 0
@@ -424,13 +433,12 @@ def cmd_plan(cfg: Config, args) -> int:
         raise ConfigError(f"{payload_key}: required for plan --mode {args.mode}")
 
     params = cfg.params
-    box = cfg.deployment_box()
-    opt = _optimum(args.mode, params, box)
+    opt = _optimum(args.mode, cfg)
     if math.isinf(coverage_radius(opt.h_star_m, opt.theta_star_rad)):
         raise ConfigError(f"{_ALTITUDE_KEYS[args.mode]}: the cell radius H*tan(theta) "
                           f"overflows at the {args.mode} optimum, H={opt.h_star_m}, "
                           f"theta={opt.theta_star_rad}; one cell would cover the area")
-    vars = box.at(altitude_m=opt.h_star_m, half_beamwidth_rad=opt.theta_star_rad)
+    vars = DeploymentVars(opt.h_star_m, opt.theta_star_rad)
     # a time that overflows is reported below by its key, not by a numpy warning
     with np.errstate(over="ignore"):
         try:

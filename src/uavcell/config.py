@@ -10,32 +10,27 @@ import json
 import math
 from collections import namedtuple
 
-from .params import (DeploymentVars, DerivedConstantError, SystemParams, dbm_to_watts,
-                     derived_constants)
+from .params import DerivedConstantError, SystemParams, dbm_to_watts, derived_constants
 
 
 class ConfigError(ValueError):
     pass
 
 
-class Config(namedtuple("Config", "beta0 bandwidth_hz p_downlink_dbm p_uplink_dbm "
-                        "noise_psd_dbm_hz density_per_m2 h_min_m h_max_m theta_min_rad "
-                        "theta_max_rad params area_width_m area_height_m file_size_bits "
-                        "period_s uav_speed_mps seed", defaults=(None,) * 5 + (0,))):
-    """A loaded config: its values, then params, the link budget in SI units
-    that load_config builds once from them, then the optional values."""
+class Config(namedtuple("Config", "h_min_m h_max_m theta_min_rad theta_max_rad params "
+                        "area_width_m area_height_m file_size_bits period_s uav_speed_mps seed",
+                        defaults=(None,) * 5 + (0,))):
+    """A loaded config: the deployment box, then params, the link budget in
+    SI units that load_config builds once from the config's other required
+    values, then the optional values."""
 
     __slots__ = ()
 
-    def deployment_box(self) -> DeploymentVars:
-        """The feasible box, parked at its lower corner. load_config has
-        checked the box, so DeploymentVars' checks are not run again."""
-        return DeploymentVars._make((self.h_min_m, self.theta_min_rad, self.h_min_m,
-                                     self.h_max_m, self.theta_min_rad, self.theta_max_rad))
-
 
 _DBM = ("p_downlink_dbm", "p_uplink_dbm", "noise_psd_dbm_hz")
-_REQUIRED = ("beta0", "bandwidth_hz", *_DBM, "density_per_m2", "h_min_m", "h_max_m")
+# the keys of the link budget, which Config holds only as params
+_LINK = ("beta0", "bandwidth_hz", *_DBM, "density_per_m2")
+_REQUIRED = (*_LINK, "h_min_m", "h_max_m")
 _REQUIRED_SET = frozenset(_REQUIRED)
 _OPTIONAL_POSITIVE = ("area_width_m", "area_height_m", "file_size_bits", "period_s",
                       "uav_speed_mps")
@@ -100,7 +95,10 @@ def load_config(path) -> Config:
         raise ConfigError(f"seed: expected an integer, got {seed!r}")
     if seed < 0:
         raise ConfigError(f"seed: must be >= 0, got {seed}")
-    return Config(params=_validate(fields), **fields)
+    params = _validate(fields)
+    for key in _LINK:
+        del fields[key]
+    return Config(params=params, **fields)
 
 
 def _validate(fields: dict) -> SystemParams:

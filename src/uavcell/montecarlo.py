@@ -137,8 +137,13 @@ def _partials(mode: str, chunk: GtRealization, full_counts: np.ndarray,
             scale = consts.alpha
         np.divide(scale, snr, out=snr)
     else:  # MAC: each of the n terminals gets a 1/n bandwidth share
-        share = full_counts[filled] * (consts.eta / (params.density_per_m2 * math.pi * theta2))
-        np.divide(np.repeat(share, counts[filled]), snr, out=snr)
+        n = full_counts[filled]
+        scale = consts.eta / (params.density_per_m2 * math.pi * theta2)
+        if scale * float(n.max()) < math.inf:
+            np.divide(np.repeat(n * scale, counts[filled]), snr, out=snr)
+        else:  # eta near the float maximum: it is divided by the squared distances first
+            np.divide(consts.eta, snr, out=snr)
+            snr *= np.repeat(n / (params.density_per_m2 * math.pi * theta2), counts[filled])
     partial[filled] = np.add.reduceat(np.log1p(snr, out=snr), starts)
     return partial
 

@@ -12,7 +12,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .params import DeploymentVars, SystemParams
+from .params import SystemParams
 from .rates import MAC, MC, MODES, rate_value
 
 SCAN_POINTS = 257
@@ -75,9 +75,10 @@ def search_1d(f, lo: float, hi: float, tol: float = 1e-4):
     return float(-x_star), float(f_star), (np.concatenate(xs), np.concatenate(fs))
 
 
-def optimize(mode: str, params: SystemParams, box: DeploymentVars,
+def optimize(mode: str, params: SystemParams, h_range, theta_range,
              tol: float = 1e-4) -> OptResult:
-    """Altitude from the mode's closed rule, then a 1-D beamwidth search.
+    """Altitude from the mode's closed rule, then a 1-D beamwidth search, in
+    the box h_range x theta_range, two (lo, hi) pairs.
 
     The rules: the mc rate is non-decreasing in altitude, so H* = h_max; the
     bc rate is strictly decreasing, so H* = h_min; the mac rate does not
@@ -85,13 +86,15 @@ def optimize(mode: str, params: SystemParams, box: DeploymentVars,
     h_indifferent."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    h_star = box.h_max_m if mode == MC else box.h_min_m
+    h_min, h_max = h_range
+    if not 0.0 < h_min <= h_max:
+        raise ValueError(f"altitude range must satisfy 0 < h_min <= h_max, got "
+                         f"[{h_min}, {h_max}]")
+    h_star = h_max if mode == MC else h_min
     theta_star, f_star, (ts, vs) = search_1d(
-        lambda t: rate_value(mode, params, h_star, t),
-        box.theta_min_rad, box.theta_max_rad, tol=tol)
+        lambda t: rate_value(mode, params, h_star, t), *theta_range, tol=tol)
     hs = np.empty(len(ts))
     hs.fill(h_star)
     return OptResult(mode=mode, h_star_m=h_star, theta_star_rad=theta_star,
                      objective_bps_hz=f_star, trace=(hs, ts, vs),
                      h_indifferent=(mode == MAC))
-

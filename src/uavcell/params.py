@@ -13,8 +13,8 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 
-# Boresight coefficient of the symmetric directional antenna model:
-# main-lobe gain = g0 / theta^2 for half-beamwidth theta (radians).
+# Boresight coefficient g0 of the symmetric directional antenna model:
+# main-lobe gain = g0 / theta^2 for half-beamwidth theta (radians), 0 outside.
 G0_DEFAULT = 30000 / 2**2 * (math.pi / 180) ** 2  # ~2.2846, dimensionless
 
 
@@ -23,7 +23,7 @@ def dbm_to_watts(dbm: float) -> float:
 
 
 class SystemParams(namedtuple("SystemParams", "beta0 bandwidth_hz p_downlink_w p_uplink_w "
-                              "noise_psd_w_hz density_per_m2 g0", defaults=(G0_DEFAULT,))):
+                              "noise_psd_w_hz density_per_m2")):
     """Link-budget constants of the aerial cell, immutable and hashed by value.
 
     Attributes:
@@ -33,8 +33,6 @@ class SystemParams(namedtuple("SystemParams", "beta0 bandwidth_hz p_downlink_w p
         p_uplink_w: per-terminal transmit power for uplink.
         noise_psd_w_hz: noise power spectral density N0.
         density_per_m2: ground-terminal density rho.
-        g0: antenna boresight coefficient (gain = g0/theta^2 in the main lobe,
-            0 outside it), G0_DEFAULT unless given.
     """
 
     __slots__ = ()
@@ -47,41 +45,20 @@ class SystemParams(namedtuple("SystemParams", "beta0 bandwidth_hz p_downlink_w p
         return self
 
 
-class DeploymentVars(namedtuple("DeploymentVars", "altitude_m half_beamwidth_rad h_min_m "
-                                "h_max_m theta_min_rad theta_max_rad")):
-    """Operating point (altitude, half-beamwidth) together with its feasible box."""
+class DeploymentVars(namedtuple("DeploymentVars", "altitude_m half_beamwidth_rad")):
+    """Operating point: altitude H and half-beamwidth theta, inside the model
+    domain H > 0, 0 < theta < pi/2."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if not 0.0 < self.h_min_m <= self.altitude_m <= self.h_max_m:
-            raise ValueError(
-                f"altitude must satisfy 0 < h_min <= H <= h_max, got "
-                f"h_min={self.h_min_m}, H={self.altitude_m}, h_max={self.h_max_m}")
-        if not 0.0 < self.theta_min_rad <= self.half_beamwidth_rad:
-            raise ValueError(
-                f"half-beamwidth must satisfy 0 < theta_min <= theta, got "
-                f"theta_min={self.theta_min_rad}, theta={self.half_beamwidth_rad}")
-        if not self.half_beamwidth_rad <= self.theta_max_rad < math.pi / 2:
-            raise ValueError(
-                f"half-beamwidth must satisfy theta <= theta_max < pi/2, got "
-                f"theta={self.half_beamwidth_rad}, theta_max={self.theta_max_rad}")
+        if not self.altitude_m > 0.0:
+            raise ValueError(f"altitude must be > 0, got {self.altitude_m}")
+        if not 0.0 < self.half_beamwidth_rad < math.pi / 2:
+            raise ValueError(f"half-beamwidth must lie in (0, pi/2), got "
+                             f"{self.half_beamwidth_rad}")
         return self
-
-    @classmethod
-    def point(cls, altitude_m: float, half_beamwidth_rad: float) -> "DeploymentVars":
-        """Degenerate box around a single operating point, for sweeps."""
-        return cls(altitude_m, half_beamwidth_rad,
-                   h_min_m=altitude_m, h_max_m=altitude_m,
-                   theta_min_rad=half_beamwidth_rad, theta_max_rad=half_beamwidth_rad)
-
-    def at(self, altitude_m=None, half_beamwidth_rad=None) -> "DeploymentVars":
-        """Same box, moved to a new operating point (revalidated)."""
-        return DeploymentVars(
-            self.altitude_m if altitude_m is None else altitude_m,
-            self.half_beamwidth_rad if half_beamwidth_rad is None else half_beamwidth_rad,
-            self.h_min_m, self.h_max_m, self.theta_min_rad, self.theta_max_rad)
 
 
 class DerivedConstants(namedtuple("DerivedConstants", "alpha eta")):
@@ -112,6 +89,6 @@ class DerivedConstantError(ValueError):
 @lru_cache(maxsize=None)
 def derived_constants(params: SystemParams) -> DerivedConstants:
     noise_w = params.noise_psd_w_hz * params.bandwidth_hz
-    alpha = params.p_downlink_w * params.g0 * params.beta0 / noise_w
-    eta = params.p_uplink_w * params.beta0 * params.g0 * params.density_per_m2 * math.pi / noise_w
+    alpha = params.p_downlink_w * G0_DEFAULT * params.beta0 / noise_w
+    eta = params.p_uplink_w * params.beta0 * G0_DEFAULT * params.density_per_m2 * math.pi / noise_w
     return DerivedConstants(alpha=alpha, eta=eta)

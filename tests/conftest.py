@@ -1,6 +1,6 @@
 import pytest
 
-from uavcell import DeploymentVars, SystemParams, dbm_to_watts
+from uavcell import SystemParams, dbm_to_watts
 
 # verdict lines collected by the acceptance gate, echoed after the run
 ACCEPTANCE_LINES = []
@@ -42,8 +42,6 @@ def params():
 
 @pytest.fixture(scope="session")
 def box():
-    """Feasible deployment region used in the sweeps: H in [50, 500] m,
-    half-beamwidth in [0.05, 1.5] rad."""
-    return DeploymentVars(altitude_m=100.0, half_beamwidth_rad=0.3,
-                          h_min_m=50.0, h_max_m=500.0,
-                          theta_min_rad=0.05, theta_max_rad=1.5)
+    """Feasible deployment region used in the sweeps, as optimize takes it:
+    H in [50, 500] m, half-beamwidth in [0.05, 1.5] rad."""
+    return (50.0, 500.0), (0.05, 1.5)

@@ -7,20 +7,21 @@ from __future__ import annotations
 import numpy as np
 
 from uavcell.optimize import OptResult
-from uavcell.params import DeploymentVars, SystemParams
+from uavcell.params import SystemParams
 from uavcell.rates import MODES, rate_value
 
 
-def optimize_2d_grid(params: SystemParams, box: DeploymentVars, mode: str,
+def optimize_2d_grid(mode: str, params: SystemParams, h_range, theta_range,
                      n: int = 64) -> OptResult:
-    """The best point of an n x n grid over the box; ties resolve toward
+    """The best point of an n x n grid over the box h_range x theta_range,
+    each a (lo, hi) pair as optimize takes them; ties resolve toward
     smaller altitude, then smaller beamwidth."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if n < 2:
         raise ValueError(f"grid needs n >= 2 points per axis, got {n}")
-    hs = np.linspace(box.h_min_m, box.h_max_m, n)
-    ts = np.linspace(box.theta_min_rad, box.theta_max_rad, n)
+    hs = np.linspace(*h_range, n)
+    ts = np.linspace(*theta_range, n)
     values = rate_value(mode, params, hs[:, None], ts[None, :])
     # first maximum in h-major order: ties toward smaller H, then smaller theta
     i, j = divmod(int(np.argmax(values)), n)

@@ -126,7 +126,7 @@ def test_criterion_06_monte_carlo_agreement(params):
                   + [(500.0, t) for t in (0.2, 0.6, 1.0)])
         for mode, (h, theta) in itertools.product(("bc", "mac"), points):
             spec = SimSpec(mode=mode, realizations=100, seed=7, count_model="fixed")
-            res = simulate_rate(params, DeploymentVars.point(h, theta), spec)
+            res = simulate_rate(params, DeploymentVars(h, theta), spec)
             assert res.relative_gap <= 0.03, (mode, h, theta, res.relative_gap)
 
 
@@ -164,12 +164,13 @@ def test_criterion_08_multicast_beamwidth_curve_shape(params):
 
 def test_criterion_09_grid_search_cross_validation(params, box):
     with criterion(9, "2d-grid-cross-validation", 20.0):
-        h_step = (box.h_max_m - box.h_min_m) / 63
-        t_step = (box.theta_max_rad - box.theta_min_rad) / 63
+        (h_min, h_max), (theta_min, theta_max) = box
+        h_step = (h_max - h_min) / 63
+        t_step = (theta_max - theta_min) / 63
         for mode in ("mc", "bc"):
             t0 = time.perf_counter()
-            rule = optimize(mode, params, box)
-            grid = optimize_2d_grid(params, box, mode, n=64)
+            rule = optimize(mode, params, *box)
+            grid = optimize_2d_grid(mode, params, *box, n=64)
             assert time.perf_counter() - t0 < 10.0, mode
             assert abs(grid.h_star_m - rule.h_star_m) <= h_step + 1e-9, mode
             assert abs(grid.theta_star_rad - rule.theta_star_rad) <= t_step + 1e-9, mode

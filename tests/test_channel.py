@@ -6,7 +6,7 @@ import pytest
 from snr_reference import snr_mac, snr_mc
 from uavcell import DeploymentVars, coverage_radius
 
-POINT = DeploymentVars.point(100.0, math.pi / 10)
+POINT = DeploymentVars(100.0, math.pi / 10)
 
 
 def test_snr_mc_frozen_values(params):
@@ -28,7 +28,7 @@ def test_snr_mac_altitude_invariance(params):
     # eta H^2 tan^2 / (T^2 (H^2 + r^2)) at r = s*rbar depends only on s
     s = 0.37
     for h in (50.0, 100.0, 400.0):
-        point = DeploymentVars.point(h, math.pi / 10)
+        point = DeploymentVars(h, math.pi / 10)
         r = s * coverage_radius(h, math.pi / 10)
         got = snr_mac(r, params, point)
         want = snr_mac(s * 32.49196962329063, params, POINT)

@@ -36,8 +36,6 @@ def test_load_basic(tmp_path):
     assert (cfg.area_width_m, cfg.area_height_m) == (None, None)
     params = cfg.params
     assert params.p_downlink_w == pytest.approx(0.01, rel=1e-15)
-    box = cfg.deployment_box()
-    assert (box.h_min_m, box.h_max_m) == (50.0, 500.0)
 
 
 def test_degree_variant(tmp_path):

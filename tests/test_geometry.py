@@ -13,7 +13,7 @@ from uavcell.geometry import Workspace, draw_counts
 from uavcell.montecarlo import BLOCK_TERMINALS
 
 SQRT3 = math.sqrt(3.0)
-POINT = DeploymentVars.point(100.0, math.pi / 10)
+POINT = DeploymentVars(100.0, math.pi / 10)
 
 
 def test_coverage_radius():
@@ -44,7 +44,7 @@ def test_hex_contains_vectorized():
 
 def test_layout_mean_counts(params):
     # rbar = 100 m cell: 129.9 terminals in the hexagon, 157.1 in the disk
-    quarter = DeploymentVars.point(100.0, math.pi / 4)
+    quarter = DeploymentVars(100.0, math.pi / 4)
     layout = make_layout(params, quarter)
     assert layout.circumradius_m == pytest.approx(100.0, rel=1e-14)
     assert layout.mean_gts_hex == pytest.approx(129.90381056766574, rel=1e-12)
@@ -171,7 +171,7 @@ def test_sampling_matches_the_uniform_reference_bit_for_bit(params, region, coun
     # workspace and into fresh arrays, against the reference on a twin
     # generator: the same counts, side seed, uniforms and r^2, bit for bit,
     # and the same positions with a workspace as without one
-    layouts = (make_layout(params, POINT), make_layout(params, DeploymentVars.point(400.0, 0.9)))
+    layouts = (make_layout(params, POINT), make_layout(params, DeploymentVars(400.0, 0.9)))
     sizes = ((layouts[0], 1), (layouts[0], 300), (layouts[1], 2), (layouts[0], 7),
              (layouts[1], 1))
     positions = {}

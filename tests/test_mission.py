@@ -116,7 +116,7 @@ def test_small_tours_near_optimal():
 
 
 def test_assemble_plan_mc(params):
-    vars = DeploymentVars.point(100.0, math.pi / 4)  # rbar = 100 m cells
+    vars = DeploymentVars(100.0, math.pi / 4)  # rbar = 100 m cells
     plan = assemble_plan(params, vars, "mc", 1.0e8, 20.0, (1000.0, 800.0))
     hover_each = 1.0e8 / (params.bandwidth_hz * cell_edge_rate_mc(params, vars))
     np.testing.assert_allclose(plan.hover_times_s, hover_each, rtol=1e-12)
@@ -126,13 +126,13 @@ def test_assemble_plan_mc(params):
 
 
 def test_assemble_plan_period_modes(params):
-    vars = DeploymentVars.point(100.0, math.pi / 4)
+    vars = DeploymentVars(100.0, math.pi / 4)
     plan = assemble_plan(params, vars, "mac", 60.0, 20.0, (500.0, 400.0))
     assert set(plan.hover_times_s.tolist()) == {60.0}
 
 
 def test_hover_dominance_warning(params, capsys):
-    vars = DeploymentVars.point(100.0, math.pi / 4)
+    vars = DeploymentVars(100.0, math.pi / 4)
     # one second of hover per cell cannot dominate kilometers of flying
     plan = assemble_plan(params, vars, "bc", 1.0, 20.0, (1000.0, 800.0))
     assert plan.hover_dominance < 10.0
@@ -143,7 +143,7 @@ def test_hover_dominance_warning(params, capsys):
 
 
 def test_single_cell_plan_dominance_is_infinite(params):
-    vars = DeploymentVars.point(500.0, 1.2)  # one giant cell
+    vars = DeploymentVars(500.0, 1.2)  # one giant cell
     plan = assemble_plan(params, vars, "mac", 60.0, 20.0, (100.0, 100.0))
     assert len(plan.centers) == 1
     assert plan.tour_length_m == 0.0
@@ -155,7 +155,7 @@ def test_single_cell_plan_dominance_is_infinite(params):
 def test_plan_cap_counts_the_cells_kept(params, width, cells):
     # 100 m cells over a 100 m high rectangle: 1.5 cells per 150 m column,
     # where a lattice around the 153,250 m strip holds 4,100 cells
-    vars = DeploymentVars.point(100.0, math.pi / 4)
+    vars = DeploymentVars(100.0, math.pi / 4)
     area = (width, 100.0)
     if cells <= mission.MAX_PLAN_CELLS:
         plan = assemble_plan(params, vars, "mac", 60.0, 20.0, area)
@@ -170,7 +170,7 @@ def test_plan_cap_counts_the_cells_kept(params, width, cells):
 def test_plan_cap_refuses_a_tall_strip_without_allocating(params, height):
     # two columns of 5.8e12 to 1e306 rows each: the count stays a float, so
     # it neither wraps nor builds the rows
-    vars = DeploymentVars.point(100.0, math.pi / 4)
+    vars = DeploymentVars(100.0, math.pi / 4)
     tracemalloc.start()
     try:
         with pytest.raises(mission.PlanTooLarge, match="more than 4096 cells"):
@@ -182,7 +182,7 @@ def test_plan_cap_refuses_a_tall_strip_without_allocating(params, height):
 
 
 def test_assemble_plan_validation(params):
-    vars = DeploymentVars.point(100.0, math.pi / 4)
+    vars = DeploymentVars(100.0, math.pi / 4)
     with pytest.raises(ValueError):
         assemble_plan(params, vars, "tdma", 60.0, 20.0, (500.0, 400.0))
     with pytest.raises(ValueError):
@@ -333,6 +333,6 @@ def test_large_lattices_tour_without_two_opt(monkeypatch):
 
 
 def test_assemble_plan_uses_lattice_tour(params):
-    vars = DeploymentVars.point(100.0, math.pi / 4)  # rbar = 100 m cells
+    vars = DeploymentVars(100.0, math.pi / 4)  # rbar = 100 m cells
     plan = assemble_plan(params, vars, "mc", 1.0e8, 20.0, (1000.0, 800.0))
     assert plan.tour_length_m == pytest.approx(len(plan.centers) * SQRT3 * 100.0, rel=1e-12)

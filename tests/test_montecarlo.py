@@ -22,7 +22,7 @@ def test_simspec_region_defaults(params, monkeypatch):
 
     monkeypatch.setattr(montecarlo, "sample_gts", record)
     for mode in MODES:
-        simulate_rate(params, DeploymentVars.point(300.0, 0.4),
+        simulate_rate(params, DeploymentVars(300.0, 0.4),
                       SimSpec(mode=mode, realizations=2))
     assert regions == ["hexagon", "disk", "disk"]
     with pytest.raises(ValueError):
@@ -30,7 +30,7 @@ def test_simspec_region_defaults(params, monkeypatch):
 
 
 def test_simulation_is_reproducible(params):
-    point = DeploymentVars.point(300.0, 0.4)
+    point = DeploymentVars(300.0, 0.4)
     spec = SimSpec(mode="bc", realizations=20, seed=123)
     a = simulate_rate(params, point, spec)
     b = simulate_rate(params, point, spec)
@@ -43,14 +43,14 @@ def test_simulation_is_reproducible(params):
 def test_bc_reference_point_agrees(params):
     # H=500 m, half-beamwidth pi/10, 100 draws, seed 7: the standing
     # regression point for the broadcast expression
-    point = DeploymentVars.point(500.0, math.pi / 10)
+    point = DeploymentVars(500.0, math.pi / 10)
     res = simulate_rate(params, point, SimSpec(mode="bc", seed=7))
     assert res.relative_gap <= 0.03
     assert res.empirical_stderr_bps_hz < 0.01 * res.analytic_bps_hz
 
 
 def test_mac_agrees_with_fixed_counts(params):
-    point = DeploymentVars.point(300.0, 0.8)
+    point = DeploymentVars(300.0, 0.8)
     res = simulate_rate(params, point,
                         SimSpec(mode="mac", seed=3, count_model="fixed"))
     assert res.relative_gap <= 0.03
@@ -61,7 +61,7 @@ def test_mc_realizations_factorize(params):
     # the common stream runs at the rate of the farthest sampled terminal,
     # so each realization is count * a rate between the cell-edge rate and
     # the centre rate, and it varies even with a fixed count
-    point = DeploymentVars.point(150.0, 0.5)
+    point = DeploymentVars(150.0, 0.5)
     res = simulate_rate(params, point,
                         SimSpec(mode="mc", realizations=10, seed=1, count_model="fixed"))
     edge = cell_edge_rate_mc(params, point)
@@ -76,7 +76,7 @@ def test_bc_snr_scale_near_the_float_maximum():
     # not over theta^2 (H^2 + r^2): the realizations stay finite and match
     # the closed form, about 1017 bps/Hz over some 1,200 terminals
     loud = make_params(rho=15.0, p_downlink_w=dbm_to_watts(3012.0))
-    res = simulate_rate(loud, DeploymentVars.point(100.0, 0.05),
+    res = simulate_rate(loud, DeploymentVars(100.0, 0.05),
                         SimSpec(mode="bc", realizations=20, seed=3))
     assert np.isfinite(res.per_realization).all()
     assert res.relative_gap < 1e-3
@@ -148,7 +148,7 @@ BLOCKS_PER_REALIZATION = {600.0: 1.3, 800.0: 2.6}
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("h, theta, realizations", LOOP_POINTS)
 def test_block_values_match_a_loop(params, monkeypatch, mode, h, theta, realizations):
-    point = DeploymentVars.point(h, theta)
+    point = DeploymentVars(h, theta)
     block = montecarlo.BLOCK_TERMINALS
     if h in BLOCKS_PER_REALIZATION:
         hex_area = 1.5 * SQRT3 * coverage_radius(h, theta)**2
@@ -175,7 +175,7 @@ def test_chunk_edges_match_a_loop(params, monkeypatch, mode):
     block = montecarlo.BLOCK_TERMINALS
     fixed = np.array([block, 0, 5, 0, block - 5, 0])
     monkeypatch.setattr(montecarlo, "draw_counts", lambda *args: fixed.copy())
-    point = DeploymentVars.point(300.0, 0.7)
+    point = DeploymentVars(300.0, 0.7)
     res, draws = _recorded_run(monkeypatch, params, point,
                                SimSpec(mode=mode, realizations=len(fixed), seed=9))
     assert np.array_equal(res.gt_counts, fixed)
@@ -192,7 +192,7 @@ def test_memory_does_not_grow_with_the_cell(params, mode):
     area_per_r2 = 1.5 * SQRT3 if mode == "mc" else math.pi
     for terminals, realizations in ((1e4, 10), (1e6, 2)):
         radius = math.sqrt(terminals / (params.density_per_m2 * area_per_r2))
-        point = DeploymentVars.point(radius / math.tan(1.0), 1.0)
+        point = DeploymentVars(radius / math.tan(1.0), 1.0)
         tracemalloc.start()
         try:
             res = simulate_rate(params, point, SimSpec(mode=mode, realizations=realizations,
@@ -205,14 +205,14 @@ def test_memory_does_not_grow_with_the_cell(params, mode):
 
 
 def test_single_realization_has_no_stderr(params):
-    point = DeploymentVars.point(300.0, 0.4)
+    point = DeploymentVars(300.0, 0.4)
     res = simulate_rate(params, point, SimSpec(mode="bc", realizations=1, seed=2))
     assert math.isnan(res.empirical_stderr_bps_hz)
     assert res.empirical_mean_bps_hz == res.per_realization[0]
 
 
 def test_stderr_shrinks_like_sqrt_n(params):
-    point = DeploymentVars.point(300.0, 0.4)
+    point = DeploymentVars(300.0, 0.4)
     small = simulate_rate(params, point, SimSpec(mode="bc", realizations=100, seed=5))
     large = simulate_rate(params, point, SimSpec(mode="bc", realizations=400, seed=5))
     ratio = small.empirical_stderr_bps_hz / large.empirical_stderr_bps_hz
@@ -220,7 +220,7 @@ def test_stderr_shrinks_like_sqrt_n(params):
 
 
 def test_stderr_is_the_sample_formula(params):
-    point = DeploymentVars.point(300.0, 0.4)
+    point = DeploymentVars(300.0, 0.4)
     res = simulate_rate(params, point, SimSpec(mode="bc", realizations=40, seed=5))
     want = float(np.std(res.per_realization, ddof=1) / math.sqrt(40))
     assert res.empirical_stderr_bps_hz == want
@@ -231,7 +231,7 @@ def test_stderr_of_tiny_rates_does_not_underflow(mode):
     # beta0 = 1e-300 puts every realization near 1e-294: their squared
     # deviations underflow to 0 unless they are scaled first
     faint = make_params(beta0=1e-300)
-    res = simulate_rate(faint, DeploymentVars.point(275.0, 0.775),
+    res = simulate_rate(faint, DeploymentVars(275.0, 0.775),
                         SimSpec(mode=mode, realizations=30, seed=7))
     values = res.per_realization
     assert 0.0 < values.max() < 1e-290 and len(set(values.tolist())) > 1

@@ -11,7 +11,7 @@ from scipy.optimize import minimize_scalar
 import grid_reference
 from conftest import make_params
 from grid_reference import optimize_2d_grid
-from uavcell import DeploymentVars, optimize, rate_value, search_1d
+from uavcell import optimize, rate_value, search_1d
 from uavcell.optimize import SCAN_POINTS
 
 
@@ -131,8 +131,8 @@ def test_search_1d_survives_multimodal_wiggle():
 
 
 def test_optimize_mc_picks_max_altitude(params, box):
-    res = optimize("mc", params, box)
-    assert res.h_star_m == box.h_max_m
+    res = optimize("mc", params, *box)
+    assert res.h_star_m == box[0][1]
     assert res.method == "closed-rule"
     assert not res.h_indifferent
     assert res.objective_bps_hz == pytest.approx(
@@ -140,19 +140,21 @@ def test_optimize_mc_picks_max_altitude(params, box):
 
 
 def test_optimize_bc_picks_min_altitude(params, box):
-    res = optimize("bc", params, box)
-    assert res.h_star_m == box.h_min_m
+    (h_min, _), (theta_min, _) = box
+    res = optimize("bc", params, *box)
+    assert res.h_star_m == h_min
     # broadcast rate decays with both knobs over this box
-    assert res.theta_star_rad == pytest.approx(box.theta_min_rad, abs=1e-3)
+    assert res.theta_star_rad == pytest.approx(theta_min, abs=1e-3)
 
 
 def test_optimize_mac_beamwidth(params, box):
-    res = optimize("mac", params, box)
+    h_range, theta_range = box
+    res = optimize("mac", params, h_range, theta_range)
     assert res.h_indifferent
-    assert res.h_star_m == box.h_min_m
+    assert res.h_star_m == h_range[0]
     oracle = minimize_scalar(
         lambda t: -rate_value("mac", params, 100.0, t),
-        bounds=(box.theta_min_rad, box.theta_max_rad), method="bounded",
+        bounds=theta_range, method="bounded",
         options={"xatol": 1e-10})
     assert res.theta_star_rad == pytest.approx(oracle.x, abs=2e-4)
     assert res.objective_bps_hz == pytest.approx(-oracle.fun, rel=1e-8)
@@ -179,14 +181,14 @@ def test_uplink_optimum_falls_toward_its_limit(box):
     # of the limit (1.3238831 seen at rho = 1e6)
     tol = 1e-4
     densities = (1e-5, 1e-4, 1e-3, 5e-3, 1e-2, 0.1, 1.0, 1e2, 1e4, 1e6)
-    thetas = [optimize("mac", make_params(rho=rho), box, tol=tol).theta_star_rad
+    thetas = [optimize("mac", make_params(rho=rho), *box, tol=tol).theta_star_rad
               for rho in densities]
     assert all(later <= earlier for earlier, later in zip(thetas, thetas[1:])), thetas
     assert abs(thetas[-1] - THETA_INF) <= tol
 
 
 def test_optimizer_never_beats_its_own_trace(params, box):
-    res = optimize("mac", params, box)
+    res = optimize("mac", params, *box)
     hs, ts, vs = res.trace
     assert len(hs) == len(ts) == len(vs) == 2 * SCAN_POINTS
     assert (hs == res.h_star_m).all()
@@ -198,19 +200,17 @@ def test_optimize_corner_optimum_is_exact(params):
     # mc rises in beamwidth up to its peak near 1.4 rad. On [0.03, 0.45],
     # 0.03 + (0.45 - 0.03) is one ulp above 0.45: a grid that does not pin
     # its last point would report a theta outside the box
-    box = DeploymentVars(altitude_m=50.0, half_beamwidth_rad=0.03, h_min_m=50.0,
-                         h_max_m=100.0, theta_min_rad=0.03, theta_max_rad=0.45)
-    res = optimize("mc", params, box)
+    res = optimize("mc", params, (50.0, 100.0), (0.03, 0.45))
     assert (res.h_star_m, res.theta_star_rad) == (100.0, 0.45)
-    assert box.at(altitude_m=res.h_star_m, half_beamwidth_rad=res.theta_star_rad)
 
 
 def test_grid_search_agrees_with_rules(params, box):
+    (h_min, h_max), (theta_min, theta_max) = box
     for mode in ("mc", "bc"):
-        rule = optimize(mode, params, box)
-        grid = optimize_2d_grid(params, box, mode, n=32)
-        h_step = (box.h_max_m - box.h_min_m) / 31
-        t_step = (box.theta_max_rad - box.theta_min_rad) / 31
+        rule = optimize(mode, params, *box)
+        grid = optimize_2d_grid(mode, params, *box, n=32)
+        h_step = (h_max - h_min) / 31
+        t_step = (theta_max - theta_min) / 31
         assert abs(grid.h_star_m - rule.h_star_m) <= h_step + 1e-9
         assert abs(grid.theta_star_rad - rule.theta_star_rad) <= t_step + 1e-9
         assert grid.method == "grid"
@@ -219,17 +219,18 @@ def test_grid_search_agrees_with_rules(params, box):
 
 def test_grid_search_ties_toward_smaller_h_then_theta(params, box, monkeypatch):
     n = 8
-    hs = np.linspace(box.h_min_m, box.h_max_m, n)
-    ts = np.linspace(box.theta_min_rad, box.theta_max_rad, n)
+    h_range, theta_range = box
+    hs = np.linspace(*h_range, n)
+    ts = np.linspace(*theta_range, n)
     # mac does not depend on altitude, so every row of the grid ties
-    assert optimize_2d_grid(params, box, "mac", n=n).h_star_m == box.h_min_m
+    assert optimize_2d_grid("mac", params, *box, n=n).h_star_m == h_range[0]
 
     # a plateau of equal maxima at every h >= hs[2] and theta >= ts[3]
     def plateau(mode, params, h, theta):
         return ((h >= hs[2]) & (theta >= ts[3])).astype(float)
 
     monkeypatch.setattr(grid_reference, "rate_value", plateau)
-    res = optimize_2d_grid(params, box, "bc", n=n)
+    res = optimize_2d_grid("bc", params, *box, n=n)
     assert (res.h_star_m, res.theta_star_rad, res.objective_bps_hz) == (hs[2], ts[3], 1.0)
     trace_h, trace_t, _ = res.trace
     assert list(zip(trace_h, trace_t)) == [(h, t) for h in hs for t in ts]
@@ -237,4 +238,4 @@ def test_grid_search_ties_toward_smaller_h_then_theta(params, box, monkeypatch):
 
 def test_unknown_mode_rejected(params, box):
     with pytest.raises(ValueError):
-        optimize("fdma", params, box)
+        optimize("fdma", params, *box)

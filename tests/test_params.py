@@ -3,7 +3,9 @@ import math
 
 import pytest
 
-from uavcell import G0_DEFAULT, DeploymentVars, dbm_to_watts, derived_constants
+from uavcell import (G0_DEFAULT, DeploymentVars, SystemParams, dbm_to_watts, derived_constants,
+                     optimize)
+from uavcell.config import Config
 from conftest import make_params
 
 
@@ -30,25 +32,39 @@ def test_system_params_rejects_nonpositive():
         make_params(rho=0.0)
 
 
-def test_deployment_box_validation():
-    with pytest.raises(ValueError):
-        DeploymentVars(altitude_m=10.0, half_beamwidth_rad=0.3,
-                       h_min_m=50.0, h_max_m=500.0,
-                       theta_min_rad=0.05, theta_max_rad=1.5)  # H below box
-    with pytest.raises(ValueError):
-        DeploymentVars(altitude_m=100.0, half_beamwidth_rad=0.3,
-                       h_min_m=50.0, h_max_m=500.0,
-                       theta_min_rad=0.05, theta_max_rad=math.pi / 2)  # open at pi/2
-    with pytest.raises(ValueError):
-        DeploymentVars.point(100.0, 0.0)
+def test_records_hold_only_what_their_readers_use():
+    assert DeploymentVars._fields == ("altitude_m", "half_beamwidth_rad")
+    assert len(SystemParams._fields) == 6
+    assert len(Config._fields) == 11
+    v = DeploymentVars(120.0, 0.4)
+    assert (v.altitude_m, v.half_beamwidth_rad) == (120.0, 0.4)
 
 
-def test_deployment_point_and_at():
-    v = DeploymentVars.point(120.0, 0.4)
-    assert v.altitude_m == 120.0
-    assert v.h_min_m == v.h_max_m == 120.0
-    w = v.at(half_beamwidth_rad=0.4)
-    assert w.altitude_m == 120.0 and w.half_beamwidth_rad == 0.4
+@pytest.mark.parametrize("altitude, theta, message", [
+    (0.0, 0.3, "altitude must be > 0, got 0.0"),
+    (-1.0, 0.3, "altitude must be > 0, got -1.0"),
+    (math.nan, 0.3, "altitude must be > 0, got nan"),
+    (100.0, 0.0, r"half-beamwidth must lie in \(0, pi/2\), got 0.0"),
+    (100.0, math.pi / 2, r"half-beamwidth must lie in \(0, pi/2\), got 1.5707963267948966"),
+    (100.0, math.nan, r"half-beamwidth must lie in \(0, pi/2\), got nan"),
+], ids=["h-zero", "h-negative", "h-nan", "theta-zero", "theta-pi/2", "theta-nan"])
+def test_deployment_point_checks_the_model_domain(altitude, theta, message):
+    with pytest.raises(ValueError, match=message):
+        DeploymentVars(altitude, theta)
+
+
+@pytest.mark.parametrize("h_range, theta_range, message", [
+    ((10.0, 5.0), (0.05, 1.5), r"0 < h_min <= h_max, got \[10.0, 5.0\]"),
+    ((0.0, 500.0), (0.05, 1.5), r"0 < h_min <= h_max, got \[0.0, 500.0\]"),
+    ((math.nan, 500.0), (0.05, 1.5), r"0 < h_min <= h_max, got \[nan, 500.0\]"),
+    ((50.0, 500.0), (1.5, 0.05), r"need lo <= hi, got \[1.5, 0.05\]"),
+    ((50.0, 500.0), (0.0, 1.5), r"half-beamwidth must lie in \(0, pi/2\), got 0.0"),
+    ((50.0, 500.0), (0.05, math.pi / 2), r"\(0, pi/2\), got 1.5707963267948966"),
+], ids=["h-reversed", "h-zero", "h-nan", "theta-reversed", "theta-zero", "theta-pi/2"])
+def test_optimize_checks_its_ranges(params, h_range, theta_range, message):
+    for mode in ("mc", "bc", "mac"):
+        with pytest.raises(ValueError, match=message):
+            optimize(mode, params, h_range, theta_range)
 
 
 def test_derived_constants_frozen_values(params):

@@ -154,7 +154,7 @@ def test_mc_rate_is_density_times_area_times_edge_rate(params):
     h, theta = 130.0, 0.6
     rbar = coverage_radius(h, theta)
     k_hex = params.density_per_m2 * 1.5 * math.sqrt(3.0) * rbar**2
-    edge = cell_edge_rate_mc(params, DeploymentVars.point(h, theta))
+    edge = cell_edge_rate_mc(params, DeploymentVars(h, theta))
     assert rate_value("mc", params, h, theta) == pytest.approx(
         k_hex * edge, rel=1e-12)
 
