@@ -29,7 +29,7 @@ REGIONS = (HEXAGON, DISK)
 
 def coverage_radius(altitude_m: float, half_beamwidth_rad: float) -> float:
     """Radius rbar = H*tan(theta) of the ground disk seen by the main lobe."""
-    if altitude_m <= 0.0:
+    if not altitude_m > 0.0:  # NaN too
         raise ValueError(f"altitude must be > 0, got {altitude_m}")
     if not 0.0 < half_beamwidth_rad < math.pi / 2:
         raise ValueError(f"half-beamwidth must lie in (0, pi/2), got {half_beamwidth_rad}")

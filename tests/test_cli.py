@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uavcell import DeploymentVars, SimSpec, SystemParams, cli, montecarlo
 from uavcell.config import load_config
@@ -138,10 +139,10 @@ def _ulp_neighbours(values: np.ndarray) -> np.ndarray:
     return np.concatenate([np.nextafter(values, -np.inf), values, np.nextafter(values, np.inf)])
 
 
-def test_cell_texts_equal_repr():
+def test_cell_texts_equal_repr(tmp_path):
     # seeded random bit patterns, most with exponents around the formatter's
     # switch points 1e-4 and 1e16, the rest over every finite exponent and
-    # the subnormals
+    # the subnormals; each written by both encoders of _write_csv
     rng = np.random.default_rng(2024)
     bits = rng.integers(0, 2**64, 1_000_000, dtype=np.uint64)
     exponents = rng.integers(1023 - 16, 1023 + 56, 950_000, dtype=np.uint64)
@@ -158,10 +159,55 @@ def test_cell_texts_equal_repr():
                   np.finfo(np.float64).max, np.nan, np.inf, -np.inf]),
     ])
     assert np.count_nonzero((floats > 0) & (floats < 2.2250738585072014e-308)) > 1000
-    assert cli._cell_texts(floats) == list(map(repr, floats.tolist()))
     ints = np.concatenate([rng.integers(-2**63, 2**63, 10_000, dtype=np.int64),
                            np.array([-2**63, -1, 0, 1, 2**63 - 1])])
-    assert cli._cell_texts(ints) == list(map(repr, ints.tolist()))
+    # a table of more floats than ints goes through one orjson call over the
+    # table, unless a chunk holds a value outside [1e-4, 2**53) other than 0;
+    # such chunks, and the other tables, go a column at a time
+    magnitude = np.abs(floats)
+    plain = floats[(magnitude == 0) | (magnitude >= 1e-4) & (magnitude < 2**53)]
+    assert len(plain) > 500_000
+    for columns in ([floats], [plain], [np.arange(len(floats)), floats], [ints],
+                    [ints >> 11, plain[:len(ints)], plain[-len(ints):]],
+                    [ints, plain[:len(ints)], plain[-len(ints):]]):
+        header = tuple("abc"[:len(columns)])
+        cli._write_csv(tmp_path / "t.csv", header, columns)
+        assert (tmp_path / "t.csv").read_bytes() == _per_row_join(header, columns)
+
+
+# values whose orjson text is not their repr, or nearly so, for the
+# property test below
+SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                  2.2250738585072009e-308, *_ulp_neighbours(np.array([1e-4, -1e-4, 1e16, -1e16])),
+                  2.0**53 - 1, 2.0**53, 2.0**53 + 2, 1e-5, 1e-7, 100.00001]
+SPECIAL_INTS = [0, -1, 2**53 - 1, 2**53, 2**53 + 1, -2**53 - 1, 10**16, -2**63, 2**63 - 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(kinds=st.lists(st.sampled_from("if"), min_size=1, max_size=6),
+       rows=st.sampled_from([1, 2, 7, cli.CSV_CHUNK_ROWS - 1, cli.CSV_CHUNK_ROWS,
+                             cli.CSV_CHUNK_ROWS + 1, 2 * cli.CSV_CHUNK_ROWS + 5]),
+       seed=st.integers(0, 2**32 - 1),
+       specials=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 2**32 - 1),
+                                   st.integers(0, len(SPECIAL_FLOATS) - 1)), max_size=30))
+def test_csv_bytes_equal_per_row_repr(tmp_path_factory, kinds, rows, seed, specials):
+    # random int64 and float64 tables, their magnitudes below 2**52 and, for
+    # floats, at 1e-4 or above, with special values placed at drawn cells, on
+    # both sides of a chunk boundary
+    rng = np.random.default_rng(seed)
+    columns = [rng.integers(-2**63, 2**63, rows, dtype=np.int64) >> rng.integers(11, 64, rows)
+               if kind == "i" else
+               rng.choice([-1.0, 1.0], rows) * rng.uniform(1.0, 10.0, rows)
+               * 10.0 ** rng.integers(-4, 15, rows)
+               for kind in kinds]
+    for column, row, value in specials:
+        column %= len(kinds)
+        pool = SPECIAL_INTS if kinds[column] == "i" else SPECIAL_FLOATS
+        columns[column][row % rows] = pool[value % len(pool)]
+    header = tuple(f"c{j}" for j in range(len(kinds)))
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    cli._write_csv(path, header, columns)
+    assert path.read_bytes() == _per_row_join(header, columns)
 
 
 def test_csv_memory_does_not_grow_with_rows(tmp_path):

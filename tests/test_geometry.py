@@ -22,6 +22,12 @@ def test_coverage_radius():
         32.49196962329063, rel=1e-14)
 
 
+@pytest.mark.parametrize("altitude", [0.0, -1.0, -math.inf, math.nan])
+def test_coverage_radius_refuses_a_non_positive_altitude(altitude):
+    with pytest.raises(ValueError, match=f"altitude must be > 0, got {altitude}"):
+        coverage_radius(altitude, 0.5)
+
+
 def test_hex_contains_key_points():
     R = 10.0
     # vertex on the +x axis is inside (boundary inclusive), just past it is not

@@ -10,7 +10,16 @@ plan's hover warning included. Run this file
 as a script to print the digests of the working directory's checkout:
 
     PYTHONPATH=src python tests/test_golden.py
+
+With --workloads SEEDS (comma-separated, e.g. 1,2,3) it instead runs every
+command of the three benchmark workloads built from perfbench/workloads.py at
+each seed, and prints one line per command: its name, exit code and the
+sha256 of its stdout, stderr and each CSV. Two checkouts whose lines match
+write the same bytes on the benchmark's commands:
+
+    PYTHONPATH=src python tests/test_golden.py --workloads 1,2,3
 """
+import argparse
 import contextlib
 import hashlib
 import io
@@ -31,6 +40,11 @@ COMMANDS = {
     **{f"sweep {mode} {var}": ("sweep", "--mode", mode, "--var", var, "--range", span)
        for mode in MODES for var, span in (("theta", "0.05:1.5:50"), ("h", "50:500:50"))},
     **{f"plan {mode}": ("plan", "--mode", mode) for mode in MODES},  # bc exits 2
+    # the CSVs with int columns and a "# seed=" line
+    **{f"simulate {mode} --csv": ("simulate", "--mode", mode, "--realizations", "20", "--csv")
+       for mode in MODES},
+    "sweep bc theta --with-sim": ("sweep", "--mode", "bc", "--var", "theta", "--range",
+                                  "0.3:0.9:6", "--with-sim", "--realizations", "10"),
 }
 
 GOLDEN = {
@@ -46,12 +60,30 @@ GOLDEN = {
     "plan mc": "071f2410a155912fa256717e24c1880f01be905cfd327ab36196953a2c8349c7",
     "plan bc": "d7a418c12c08f674616eb6c3c386f54cc56c9345bf4da1451893c64de496cee1",
     "plan mac": "2094e401f063d99f784810f620e24e0a47f0718a42e9add369ce77352724edd3",
+    "simulate mc --csv": "47f0df70f65f74193618300ad5f28b9282d75cfcff277c3cac359abb68835fae",
+    "simulate bc --csv": "a24e74daa00b71ac4b0e70253d03ad43c7fee42e8010124a31aa06007a2eef15",
+    "simulate mac --csv": "18efcfbcd5afbab7b2d2f6a833afdb5f6ddcd5fa544543ac3a5cbda2768f0923",
+    "sweep bc theta --with-sim": "8d3d89b45a4bebe92c42af48de74e9cf298443ab9d76e851fc3a179cba16781c",
 }
 
 
 def readme_config() -> dict:
     """The config example of the README's CLI section, its one JSON block."""
     return json.loads((ROOT / "README.md").read_text().split("```json\n", 1)[1].split("```", 1)[0])
+
+
+def _run(argv, out: Path):
+    """cli.main(argv) in this process: (exit code, stdout, stderr, {CSV name:
+    bytes}), the CSVs read from out and deleted."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        rc = cli.main(argv)
+    files = {}
+    if out.is_dir():
+        for path in sorted(out.iterdir()):
+            files[path.name] = path.read_bytes()
+            path.unlink()
+    return rc, stdout.getvalue(), stderr.getvalue(), files
 
 
 def digests() -> dict:
@@ -62,19 +94,35 @@ def digests() -> dict:
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         Path("cfg.json").write_text(json.dumps(readme_config()))
-        out = Path("out")
         for label, argv in COMMANDS.items():
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                rc = cli.main(["--config", "cfg.json", "--out", str(out), *argv])
-            files = {}
-            if out.is_dir():
-                for path in sorted(out.iterdir()):
-                    files[path.name] = path.read_bytes()
-                    path.unlink()
-            record = (rc, stdout.getvalue(), stderr.getvalue(), files)
+            record = _run(["--config", "cfg.json", "--out", "out", *argv], Path("out"))
             result[label] = hashlib.sha256(repr(record).encode()).hexdigest()
     return result
+
+
+def workload_digest_lines(seeds):
+    """One line per command of each benchmark workload at each seed: its
+    name, exit code, and the sha256 of stdout, stderr and each CSV. The
+    commands run in a fresh directory with relative paths, as digests()."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    def sha(data) -> str:
+        return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
+
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        for seed in seeds:
+            for name in workloads.WORKLOADS:
+                workload = workloads.build(name, seed)
+                for cfg_name, cfg in workload.configs.items():
+                    Path(f"{cfg_name}.json").write_text(json.dumps(cfg))
+                for index, command in enumerate(workload.commands):
+                    rc, stdout, stderr, files = _run(
+                        command.cli_args(f"{command.config}.json", "out"), Path("out"))
+                    yield " ".join([f"{name} seed={seed} #{index} {command.kind} {command.mode}",
+                                    f"rc={rc}", f"stdout={sha(stdout)}", f"stderr={sha(stderr)}",
+                                    *(f"{csv}={sha(data)}" for csv, data in files.items())])
 
 
 def test_readme_commands_keep_their_bytes():
@@ -89,4 +137,12 @@ def test_readme_commands_keep_their_bytes():
 
 
 if __name__ == "__main__":
-    print(json.dumps(digests()))
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n", 1)[0])
+    parser.add_argument("--workloads", metavar="SEEDS",
+                        help="digest the benchmark workloads' commands at these seeds, e.g. 1,2,3")
+    options = parser.parse_args()
+    if options.workloads:
+        for line in workload_digest_lines([int(seed) for seed in options.workloads.split(",")]):
+            print(line)
+    else:
+        print(json.dumps(digests()))
