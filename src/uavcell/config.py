@@ -10,7 +10,7 @@ import json
 import math
 from collections import namedtuple
 
-from .params import DerivedConstantError, SystemParams, dbm_to_watts, derived_constants
+from .params import DerivedConstantError, SystemParams, dbm_to_watts
 
 
 class ConfigError(ValueError):
@@ -125,16 +125,15 @@ def _validate(fields: dict) -> SystemParams:
         raise ConfigError(f"bandwidth_hz/noise_psd_dbm_hz: the noise power is 0 W (bandwidth_hz="
                           f"{fields['bandwidth_hz']}, noise_psd_dbm_hz="
                           f"{fields['noise_psd_dbm_hz']})")
-    params = SystemParams(
-        beta0=fields["beta0"],
-        bandwidth_hz=fields["bandwidth_hz"],
-        p_downlink_w=watts["p_downlink_dbm"],
-        p_uplink_w=watts["p_uplink_dbm"],
-        noise_psd_w_hz=watts["noise_psd_dbm_hz"],
-        density_per_m2=fields["density_per_m2"],
-    )
     try:
-        derived_constants(params)
+        params = SystemParams(
+            beta0=fields["beta0"],
+            bandwidth_hz=fields["bandwidth_hz"],
+            p_downlink_w=watts["p_downlink_dbm"],
+            p_uplink_w=watts["p_uplink_dbm"],
+            noise_psd_w_hz=watts["noise_psd_dbm_hz"],
+            density_per_m2=fields["density_per_m2"],
+        )
     except DerivedConstantError as exc:
         keys = SNR_SCALE_KEYS[exc.name]
         values = ", ".join(f"{key}={fields[key]}" for key in keys)

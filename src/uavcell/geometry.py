@@ -18,7 +18,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .params import DeploymentVars, SystemParams
+from .params import DeploymentVars, SystemParams, require_domain
 
 SQRT3 = math.sqrt(3.0)
 
@@ -29,10 +29,7 @@ REGIONS = (HEXAGON, DISK)
 
 def coverage_radius(altitude_m: float, half_beamwidth_rad: float) -> float:
     """Radius rbar = H*tan(theta) of the ground disk seen by the main lobe."""
-    if not altitude_m > 0.0:  # NaN too
-        raise ValueError(f"altitude must be > 0, got {altitude_m}")
-    if not 0.0 < half_beamwidth_rad < math.pi / 2:
-        raise ValueError(f"half-beamwidth must lie in (0, pi/2), got {half_beamwidth_rad}")
+    require_domain((altitude_m,), (half_beamwidth_rad,))
     return altitude_m * math.tan(half_beamwidth_rad)
 
 

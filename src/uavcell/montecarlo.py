@@ -28,7 +28,7 @@ import numpy as np
 # coverage_radius and cell_edge_rate_mc are unused; perfbench/spans.py wraps them here
 from .geometry import (DISK, HEXAGON, CellLayout, GtRealization, Workspace, coverage_radius,
                        draw_counts, make_layout, sample_gts)
-from .params import DeploymentVars, SystemParams, derived_constants
+from .params import DeploymentVars, SystemParams
 from .rates import BC, MAC, MC, MODES, LN2, cell_edge_rate_mc, rate_value
 
 _REGION_FOR_MODE = {MC: HEXAGON, BC: DISK, MAC: DISK}
@@ -125,24 +125,23 @@ def _partials(mode: str, chunk: GtRealization, full_counts: np.ndarray,
         partial[filled] = np.maximum.reduceat(chunk.r2, starts)
         return partial
     theta2 = vars.half_beamwidth_rad**2
-    consts = derived_constants(params)
     snr = np.add(chunk.r2, vars.altitude_m**2, out=ws.array("snr", len(chunk.r2)))
     if mode == BC:
         # alpha/theta^2 as one constant saves a pass over the terminals; it
         # overflows only for alpha near the float maximum, where the SNR is
         # divided in two steps, as the closed form does
-        scale = consts.alpha / theta2
+        scale = params.alpha / theta2
         if scale == math.inf:
             snr *= theta2
-            scale = consts.alpha
+            scale = params.alpha
         np.divide(scale, snr, out=snr)
     else:  # MAC: each of the n terminals gets a 1/n bandwidth share
         n = full_counts[filled]
-        scale = consts.eta / (params.density_per_m2 * math.pi * theta2)
+        scale = params.eta / (params.density_per_m2 * math.pi * theta2)
         if scale * float(n.max()) < math.inf:
             np.divide(np.repeat(n * scale, counts[filled]), snr, out=snr)
         else:  # eta near the float maximum: it is divided by the squared distances first
-            np.divide(consts.eta, snr, out=snr)
+            np.divide(params.eta, snr, out=snr)
             snr *= np.repeat(n / (params.density_per_m2 * math.pi * theta2), counts[filled])
     partial[filled] = np.add.reduceat(np.log1p(snr, out=snr), starts)
     return partial
@@ -162,8 +161,7 @@ def _values(mode: str, stats: np.ndarray, counts: np.ndarray, params: SystemPara
     n = counts[filled]
     if mode == MC:
         d2 = vars.altitude_m**2 + stats[filled]
-        alpha = derived_constants(params).alpha
-        values[filled] = n * np.log1p(alpha / (vars.half_beamwidth_rad**2 * d2)) / LN2
+        values[filled] = n * np.log1p(params.alpha / (vars.half_beamwidth_rad**2 * d2)) / LN2
     else:
         values[filled] = stats[filled] / n / LN2
     return values

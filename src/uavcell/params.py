@@ -5,13 +5,12 @@ Power-like config values arrive in dBm and are converted once at the boundary.
 
 uavcell's records are namedtuple subclasses: immutable, compared and hashed
 by value, and built without generating code per class. A record's checks run
-in its constructor; _replace copies a record without them.
+in its constructor; _replace skips them, except SystemParams._replace.
 """
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import lru_cache
 
 # Boresight coefficient g0 of the symmetric directional antenna model:
 # main-lobe gain = g0 / theta^2 for half-beamwidth theta (radians), 0 outside.
@@ -23,7 +22,7 @@ def dbm_to_watts(dbm: float) -> float:
 
 
 class SystemParams(namedtuple("SystemParams", "beta0 bandwidth_hz p_downlink_w p_uplink_w "
-                              "noise_psd_w_hz density_per_m2")):
+                              "noise_psd_w_hz density_per_m2 alpha eta")):
     """Link-budget constants of the aerial cell, immutable and hashed by value.
 
     Attributes:
@@ -33,49 +32,32 @@ class SystemParams(namedtuple("SystemParams", "beta0 bandwidth_hz p_downlink_w p
         p_uplink_w: per-terminal transmit power for uplink.
         noise_psd_w_hz: noise power spectral density N0.
         density_per_m2: ground-terminal density rho.
+        alpha, eta: the downlink and uplink SNR scales, which the constructor sets
+            from the six above: P_d*g0*beta0/(N0*W) in m^2 and P_u*beta0*g0*rho*pi/(N0*W).
     """
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        for name, value in zip(self._fields, self):
+    def __new__(cls, beta0, bandwidth_hz, p_downlink_w, p_uplink_w, noise_psd_w_hz,
+                density_per_m2):
+        budget = (beta0, bandwidth_hz, p_downlink_w, p_uplink_w, noise_psd_w_hz, density_per_m2)
+        for name, value in zip(cls._fields, budget):
             if not value > 0.0:
                 raise ValueError(f"SystemParams.{name} must be > 0, got {value}")
-        return self
-
-
-class DeploymentVars(namedtuple("DeploymentVars", "altitude_m half_beamwidth_rad")):
-    """Operating point: altitude H and half-beamwidth theta, inside the model
-    domain H > 0, 0 < theta < pi/2."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not self.altitude_m > 0.0:
-            raise ValueError(f"altitude must be > 0, got {self.altitude_m}")
-        if not 0.0 < self.half_beamwidth_rad < math.pi / 2:
-            raise ValueError(f"half-beamwidth must lie in (0, pi/2), got "
-                             f"{self.half_beamwidth_rad}")
-        return self
-
-
-class DerivedConstants(namedtuple("DerivedConstants", "alpha eta")):
-    """Aggregate SNR scales of the link budget.
-
-    alpha = P_d * g0 * beta0 / (N0 * W)      downlink, dimensionless * m^2
-    eta   = P_u * beta0 * g0 * rho * pi / (N0 * W)   uplink, dimensionless
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        for name, value in zip(self._fields, self):
+        noise_w = noise_psd_w_hz * bandwidth_hz
+        alpha = p_downlink_w * G0_DEFAULT * beta0 / noise_w
+        eta = p_uplink_w * beta0 * G0_DEFAULT * density_per_m2 * math.pi / noise_w
+        for name, value in (("alpha", alpha), ("eta", eta)):
             if not 0.0 < value < math.inf:
                 raise DerivedConstantError(name, value)
-        return self
+        return super().__new__(cls, *budget, alpha, eta)
+
+    def __getnewargs__(self):  # pickle and copy pass these to the constructor
+        return self[:6]
+
+    def _replace(self, **changes):
+        """Rebuilt by the constructor, so that alpha and eta follow the changes."""
+        return type(self)(**dict(zip(self._fields, self[:6])) | changes)
 
 
 class DerivedConstantError(ValueError):
@@ -86,9 +68,23 @@ class DerivedConstantError(ValueError):
         self.name = name
 
 
-@lru_cache(maxsize=None)
-def derived_constants(params: SystemParams) -> DerivedConstants:
-    noise_w = params.noise_psd_w_hz * params.bandwidth_hz
-    alpha = params.p_downlink_w * G0_DEFAULT * params.beta0 / noise_w
-    eta = params.p_uplink_w * params.beta0 * G0_DEFAULT * params.density_per_m2 * math.pi / noise_w
-    return DerivedConstants(alpha=alpha, eta=eta)
+def require_domain(altitudes, half_beamwidths) -> None:
+    """Refuse points outside the model domain H > 0, 0 < theta < pi/2 (NaN too):
+    ValueError names the first bad altitude, else the first bad half-beamwidth."""
+    for value in altitudes:
+        if not value > 0.0:
+            raise ValueError(f"altitude must be > 0, got {value}")
+    for value in half_beamwidths:
+        if not 0.0 < value < math.pi / 2:
+            raise ValueError(f"half-beamwidth must lie in (0, pi/2), got {value}")
+
+
+class DeploymentVars(namedtuple("DeploymentVars", "altitude_m half_beamwidth_rad")):
+    """Operating point: altitude H and half-beamwidth theta, checked by require_domain."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        require_domain(self[:1], self[1:])
+        return self

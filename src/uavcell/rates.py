@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .geometry import SQRT3
-from .params import DeploymentVars, SystemParams, derived_constants
+from .params import DeploymentVars, SystemParams, require_domain
 
 LN2 = math.log(2.0)
 
@@ -30,28 +30,25 @@ _MIN, _MAX = np.minimum.reduce, np.maximum.reduce
 
 
 def check_domain(altitude_m, half_beamwidth_rad):
-    """The operating points as float arrays. The first one outside the model
-    domain (H > 0, 0 < theta < pi/2) raises ValueError, naming its value."""
+    """The operating points as float arrays; params.require_domain refuses
+    any outside the model domain, naming the first bad value."""
     h = np.asarray(altitude_m, dtype=float)
     theta = np.asarray(half_beamwidth_rad, dtype=float)
     # min/max propagate NaN, which then fails the comparison like any bad
     # value; an empty array reduces to the identity, which passes
-    if not (float(h) if h.ndim == 0 else _MIN(h, axis=None, initial=math.inf)) > 0.0:
-        raise ValueError(f"altitude must be > 0, got {h[~(h > 0.0)].flat[0]}")
+    low_h = float(h) if h.ndim == 0 else _MIN(h, axis=None, initial=math.inf)
     if theta.ndim == 0:
         low = high = float(theta)
     else:
         low = _MIN(theta, axis=None, initial=math.inf)
         high = _MAX(theta, axis=None, initial=-math.inf)
-    if not (low > 0.0 and high < math.pi / 2):
-        bad = ~((theta > 0.0) & (theta < math.pi / 2))
-        raise ValueError(f"half-beamwidth must lie in (0, pi/2), got {theta[bad].flat[0]}")
+    if not (low_h > 0.0 and low > 0.0 and high < math.pi / 2):
+        require_domain(h[~(h > 0.0)], theta[~((theta > 0.0) & (theta < math.pi / 2))])
     return h, theta
 
 
 def _edge_rate(params: SystemParams, h, theta):
-    alpha = derived_constants(params).alpha
-    return np.log1p(alpha * np.cos(theta)**2 / (theta**2 * h**2)) / LN2
+    return np.log1p(params.alpha * np.cos(theta)**2 / (theta**2 * h**2)) / LN2
 
 
 @np.errstate(all="ignore")
@@ -74,14 +71,14 @@ def _disk_mean(s, c):
 
 @np.errstate(all="ignore")
 def _bc_value(params: SystemParams, h, theta):
-    s = derived_constants(params).alpha / (theta**2 * h**2)
+    s = params.alpha / (theta**2 * h**2)
     return _disk_mean(s, np.tan(theta)**2) / LN2
 
 
 @np.errstate(all="ignore")
 def _mac_value(params: SystemParams, h, theta):
     c = np.tan(theta)**2
-    value = _disk_mean(derived_constants(params).eta * c / theta**2, c) / LN2
+    value = _disk_mean(params.eta * c / theta**2, c) / LN2
     # the integral does not depend on h, which only sets the broadcast shape
     if h.ndim:
         value = np.broadcast_to(value, np.broadcast_shapes(h.shape, theta.shape)).copy()

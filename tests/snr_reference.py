@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from uavcell.params import DeploymentVars, SystemParams, derived_constants
+from uavcell.params import DeploymentVars, SystemParams
 
 # relative slack when checking r against the coverage edge; boundary inclusive
 _EDGE_RTOL = 1e-12
@@ -38,9 +38,8 @@ def snr_mc(r, params: SystemParams, vars: DeploymentVars):
     snr = alpha / (theta^2 * (H^2 + r^2)).
     """
     r = _check_in_cell(r, vars)
-    alpha = derived_constants(params).alpha
     h, theta = vars.altitude_m, vars.half_beamwidth_rad
-    snr = alpha / (theta**2 * (h**2 + r**2))
+    snr = params.alpha / (theta**2 * (h**2 + r**2))
     return snr if snr.ndim else float(snr)
 
 
@@ -52,7 +51,6 @@ def snr_mac(r, params: SystemParams, vars: DeploymentVars):
     Invariant under (H, r) -> (c*H, c*r).
     """
     r = _check_in_cell(r, vars)
-    eta = derived_constants(params).eta
     h, theta = vars.altitude_m, vars.half_beamwidth_rad
-    snr = eta * h**2 * math.tan(theta)**2 / (theta**2 * (h**2 + r**2))
+    snr = params.eta * h**2 * math.tan(theta)**2 / (theta**2 * (h**2 + r**2))
     return snr if snr.ndim else float(snr)

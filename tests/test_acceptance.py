@@ -14,8 +14,8 @@ from contextlib import contextmanager
 import numpy as np
 from scipy.integrate import quad
 
-from uavcell import (DeploymentVars, SimSpec, cli, derived_constants,
-                     optimize, plan_tour, rate_value, simulate_rate)
+from uavcell import (DeploymentVars, SimSpec, cli, optimize, plan_tour, rate_value,
+                     simulate_rate)
 import conftest
 from grid_reference import optimize_2d_grid
 
@@ -97,7 +97,6 @@ def test_criterion_04_multiaccess_altitude_independent(params):
 def test_criterion_05_closed_forms_match_quadrature(params):
     """bc/mac closed forms vs adaptive radial quadrature at random points."""
     with criterion(5, "quadrature-oracle", 30.0):
-        consts = derived_constants(params)
         rng = np.random.default_rng(2024)
         hs = rng.uniform(1.0, 1.0e4, 500)
         thetas = rng.uniform(0.05, 1.5, 500)
@@ -106,10 +105,10 @@ def test_criterion_05_closed_forms_match_quadrature(params):
             t2 = math.tan(theta)**2
 
             def snr_bc(r):
-                return consts.alpha / (theta**2 * (h**2 + r**2))
+                return params.alpha / (theta**2 * (h**2 + r**2))
 
             def snr_mac(r):
-                return consts.eta * h**2 * t2 / (theta**2 * (h**2 + r**2))
+                return params.eta * h**2 * t2 / (theta**2 * (h**2 + r**2))
 
             for mode, snr in (("bc", snr_bc), ("mac", snr_mac)):
                 val, _ = quad(lambda r: r * math.log1p(snr(r)) / LN2,
@@ -132,7 +131,7 @@ def test_criterion_06_monte_carlo_agreement(params):
 
 def test_criterion_07_multicast_large_altitude_limit(params):
     with criterion(7, "mc-large-h-limit", 1.0):
-        alpha = derived_constants(params).alpha
+        alpha = params.alpha
         rho = params.density_per_m2
         for theta in (0.2, 0.5, 1.0):
             limit = (1.5 * SQRT3 * rho * alpha * math.sin(theta)**2

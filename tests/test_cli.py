@@ -1021,13 +1021,16 @@ def test_optimize_call_budget(cfg_path, tmp_path, capsys, mode):
         if event == "call" and frame.f_code.co_filename.startswith(package):
             frames.append(frame.f_code.co_name)
 
-    argv = ("optimize", "--mode", mode)
-    assert run(cfg_path, tmp_path, *argv) == 0  # fills the derived-constants cache
-    sys.setprofile(profile)
-    try:
-        rc = run(cfg_path, tmp_path, *argv)
-    finally:
-        sys.setprofile(None)
-    assert rc == 0
-    assert frames.count("rate_value") == 2
-    assert len(frames) <= OPTIMIZE_FRAME_BUDGET[mode], sorted(frames)
+    counts = []
+    for _ in range(2):  # nothing kept from the first run shortens the second
+        frames.clear()
+        sys.setprofile(profile)
+        try:
+            rc = run(cfg_path, tmp_path, "optimize", "--mode", mode)
+        finally:
+            sys.setprofile(None)
+        assert rc == 0
+        assert frames.count("rate_value") == 2
+        assert len(frames) <= OPTIMIZE_FRAME_BUDGET[mode], sorted(frames)
+        counts.append(len(frames))
+    assert counts[0] == counts[1]

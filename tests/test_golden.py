@@ -1,9 +1,9 @@
 """Golden bytes: the exit code, stdout, stderr and every CSV of fixed commands
-on the README's example config, pinned by sha256. A change that moves any
-byte of them fails here and prints the new digests; paste them into GOLDEN
-only when the change says why its output changed. The digests hold for
-numpy 2.4.6 on x86-64: vectorized libm kernels may round differently
-elsewhere.
+on the README's example config and on variants of it, pinned by sha256. A
+change that moves any byte of them fails here and prints the new digests;
+paste them into GOLDEN only when the change says why its output changed. The
+digests hold for numpy 2.4.6 on x86-64: vectorized libm kernels may round
+differently elsewhere.
 
 The commands run in a child process, so that stderr holds what a user sees,
 plan's hover warning included. Run this file
@@ -14,8 +14,9 @@ as a script to print the digests of the working directory's checkout:
 With --workloads SEEDS (comma-separated, e.g. 1,2,3) it instead runs every
 command of the three benchmark workloads built from perfbench/workloads.py at
 each seed, and prints one line per command: its name, exit code and the
-sha256 of its stdout, stderr and each CSV. Two checkouts whose lines match
-write the same bytes on the benchmark's commands:
+sha256 of its stdout, stderr and each CSV. It then prints one such line per
+command pinned here (COMMANDS and VARIANTS). Two checkouts whose lines match
+write the same bytes on the benchmark's commands and on the pinned ones:
 
     PYTHONPATH=src python tests/test_golden.py --workloads 1,2,3
 """
@@ -45,6 +46,18 @@ COMMANDS = {
        for mode in MODES},
     "sweep bc theta --with-sim": ("sweep", "--mode", "bc", "--var", "theta", "--range",
                                   "0.3:0.9:6", "--with-sim", "--realizations", "10"),
+    # exits 2: a 16 m^2 hexagon holds 0.08 expected terminals
+    "simulate mc fixed count 0": ("simulate", "--mode", "mc", "--altitude", "50", "--theta",
+                                  "0.05", "--count-model", "fixed"),
+}
+
+# commands on README configs with some keys replaced: label -> (keys, argv).
+# Each link budget exits 2 on a derived SNR scale that is not positive and finite.
+VARIANTS = {
+    "optimize bc alpha=inf": ({"p_downlink_dbm": 3100}, ("optimize", "--mode", "bc")),
+    "optimize mac eta=0": ({"beta0": 1e-318}, ("optimize", "--mode", "mac")),
+    "optimize bc alpha=0": ({"p_downlink_dbm": -3000, "noise_psd_dbm_hz": 3000},
+                            ("optimize", "--mode", "bc")),
 }
 
 GOLDEN = {
@@ -64,6 +77,10 @@ GOLDEN = {
     "simulate bc --csv": "a24e74daa00b71ac4b0e70253d03ad43c7fee42e8010124a31aa06007a2eef15",
     "simulate mac --csv": "18efcfbcd5afbab7b2d2f6a833afdb5f6ddcd5fa544543ac3a5cbda2768f0923",
     "sweep bc theta --with-sim": "8d3d89b45a4bebe92c42af48de74e9cf298443ab9d76e851fc3a179cba16781c",
+    "simulate mc fixed count 0": "33264dfa0af3148768e12d812a6b9d7c8ad51d05b259b452a4b680421b89a7a5",
+    "optimize bc alpha=inf": "23d681b199ba13ada28a1871763034f3f03c4721e3365145c0ed486919725896",
+    "optimize mac eta=0": "98c66463e3be339ba48178c4604afcd816f9ab7c00c012062cb0ca60977d6b29",
+    "optimize bc alpha=0": "be5b8a8ebdb6260361f50c341f74a8530c1ca597647c195d5943dfa7bf0ee5d1",
 }
 
 
@@ -86,29 +103,40 @@ def _run(argv, out: Path):
     return rc, stdout.getvalue(), stderr.getvalue(), files
 
 
+def _readme_records():
+    """(label, record of _run) of each command of COMMANDS and VARIANTS, run
+    in the working directory with relative paths, so that the paths printed
+    in reports are the same in any checkout."""
+    commands = {label: ({}, argv) for label, argv in COMMANDS.items()} | VARIANTS
+    for index, (label, (keys, argv)) in enumerate(commands.items()):
+        Path(f"cfg{index}.json").write_text(json.dumps(readme_config() | keys))
+        yield label, _run(["--config", f"cfg{index}.json", "--out", "out", *argv], Path("out"))
+
+
 def digests() -> dict:
     """label -> sha256 of (exit code, stdout, stderr, {CSV name: bytes}) of
-    each command, run in a fresh directory with relative paths, so that the
-    paths printed in reports are the same in any checkout."""
-    result = {}
+    each command, run in a fresh directory."""
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
-        Path("cfg.json").write_text(json.dumps(readme_config()))
-        for label, argv in COMMANDS.items():
-            record = _run(["--config", "cfg.json", "--out", "out", *argv], Path("out"))
-            result[label] = hashlib.sha256(repr(record).encode()).hexdigest()
-    return result
+        return {label: hashlib.sha256(repr(record).encode()).hexdigest()
+                for label, record in _readme_records()}
 
 
 def workload_digest_lines(seeds):
-    """One line per command of each benchmark workload at each seed: its
-    name, exit code, and the sha256 of stdout, stderr and each CSV. The
-    commands run in a fresh directory with relative paths, as digests()."""
+    """One line per command of each benchmark workload at each seed, then
+    one per command of COMMANDS and VARIANTS: its name, exit code, and the
+    sha256 of stdout, stderr and each CSV. The commands run in a fresh
+    directory with relative paths, as digests()."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
     def sha(data) -> str:
         return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
+
+    def line(name, record) -> str:
+        rc, stdout, stderr, files = record
+        return " ".join([name, f"rc={rc}", f"stdout={sha(stdout)}", f"stderr={sha(stderr)}",
+                         *(f"{csv}={sha(data)}" for csv, data in files.items())])
 
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
@@ -118,11 +146,11 @@ def workload_digest_lines(seeds):
                 for cfg_name, cfg in workload.configs.items():
                     Path(f"{cfg_name}.json").write_text(json.dumps(cfg))
                 for index, command in enumerate(workload.commands):
-                    rc, stdout, stderr, files = _run(
-                        command.cli_args(f"{command.config}.json", "out"), Path("out"))
-                    yield " ".join([f"{name} seed={seed} #{index} {command.kind} {command.mode}",
-                                    f"rc={rc}", f"stdout={sha(stdout)}", f"stderr={sha(stderr)}",
-                                    *(f"{csv}={sha(data)}" for csv, data in files.items())])
+                    record = _run(command.cli_args(f"{command.config}.json", "out"), Path("out"))
+                    yield line(f"{name} seed={seed} #{index} {command.kind} {command.mode}",
+                               record)
+        for label, record in _readme_records():
+            yield line(f"readme {label}", record)
 
 
 def test_readme_commands_keep_their_bytes():

@@ -1,11 +1,13 @@
 """Unit conversions, parameter containers, derived link constants."""
+import copy
 import math
+import pickle
 
 import pytest
 
-from uavcell import (G0_DEFAULT, DeploymentVars, SystemParams, dbm_to_watts, derived_constants,
-                     optimize)
+from uavcell import G0_DEFAULT, DeploymentVars, SystemParams, dbm_to_watts, optimize
 from uavcell.config import Config
+from uavcell.params import DerivedConstantError
 from conftest import make_params
 
 
@@ -34,7 +36,8 @@ def test_system_params_rejects_nonpositive():
 
 def test_records_hold_only_what_their_readers_use():
     assert DeploymentVars._fields == ("altitude_m", "half_beamwidth_rad")
-    assert len(SystemParams._fields) == 6
+    assert SystemParams._fields == ("beta0", "bandwidth_hz", "p_downlink_w", "p_uplink_w",
+                                    "noise_psd_w_hz", "density_per_m2", "alpha", "eta")
     assert len(Config._fields) == 11
     v = DeploymentVars(120.0, 0.4)
     assert (v.altitude_m, v.half_beamwidth_rad) == (120.0, 0.4)
@@ -68,15 +71,14 @@ def test_optimize_checks_its_ranges(params, h_range, theta_range, message):
 
 
 def test_derived_constants_frozen_values(params):
-    c = derived_constants(params)
     # alpha = P_d g0 beta0 / (N0 W); eta = P_u beta0 g0 rho pi / (N0 W)
-    assert c.alpha == pytest.approx(25769402.145159453, rel=1e-13)
-    assert c.eta == pytest.approx(4047.8482233316995, rel=1e-13)
+    assert params.alpha == pytest.approx(25769402.145159453, rel=1e-13)
+    assert params.eta == pytest.approx(4047.8482233316995, rel=1e-13)
 
 
 def test_eta_scales_with_density():
-    lo = derived_constants(make_params(rho=0.001))
-    hi = derived_constants(make_params(rho=0.01))
+    lo = make_params(rho=0.001)
+    hi = make_params(rho=0.01)
     assert lo.eta == pytest.approx(809.5696446663399, rel=1e-13)
     assert hi.eta == pytest.approx(8095.696446663399, rel=1e-13)
     # alpha carries no density dependence
@@ -86,4 +88,33 @@ def test_eta_scales_with_density():
 def test_params_hashable_and_frozen(params):
     with pytest.raises(Exception):
         params.beta0 = 1.0
-    assert derived_constants(params) is derived_constants(params)  # cached
+    assert hash(make_params()) == hash(params)
+
+
+@pytest.mark.parametrize("changes, name, value", [
+    ({"p_downlink_w": 1e300}, "alpha", "inf"),
+    ({"beta0": 1e-318}, "eta", "0.0"),
+], ids=["alpha-inf", "eta-zero"])
+def test_constructor_refuses_a_bad_snr_scale(changes, name, value):
+    with pytest.raises(DerivedConstantError) as exc:
+        make_params(**changes)
+    assert str(exc.value) == f"derived constant {name} must be positive and finite, got {value}"
+    assert exc.value.name == name
+
+
+def test_replace_rebuilds_alpha_and_eta(params):
+    changed = params._replace(density_per_m2=0.01)
+    assert changed == make_params(rho=0.01)
+    assert changed.eta == pytest.approx(2 * params.eta, rel=1e-13)
+    assert params._replace(p_downlink_w=2 * params.p_downlink_w).alpha == 2 * params.alpha
+    with pytest.raises(DerivedConstantError):
+        params._replace(beta0=1e-318)
+    for name in ("alpha", "eta"):
+        with pytest.raises(TypeError):
+            params._replace(**{name: 1.0})
+
+
+def test_params_copy_and_pickle_through_the_constructor(params):
+    assert copy.copy(params) == params
+    assert copy.deepcopy(params) == params
+    assert pickle.loads(pickle.dumps(params)) == params

@@ -12,8 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from uavcell import (DeploymentVars, cell_edge_rate_mc, coverage_radius, derived_constants,
-                     rate_value)
+from uavcell import DeploymentVars, cell_edge_rate_mc, coverage_radius, rate_value
 from uavcell.rates import check_domain
 from conftest import make_params
 
@@ -82,10 +81,9 @@ QUAD_POINTS = ((100.0, math.pi / 10), (500.0, 1.0), (60.0, 0.08))
 
 def _snr_scale(mode, params, h, theta):
     """(s, c) in mpmath, with SNR(r) = s / (1 + u) for u = (r/H)^2 in [0, c]."""
-    dc = derived_constants(params)
     h, theta = mpmath.mpf(h), mpmath.mpf(theta)
     c = mpmath.tan(theta)**2
-    s = dc.eta * c / theta**2 if mode == "mac" else dc.alpha / (theta * h)**2
+    s = params.eta * c / theta**2 if mode == "mac" else params.alpha / (theta * h)**2
     return s, c
 
 
@@ -117,11 +115,10 @@ def test_closed_forms_match_high_precision_oracle(mode, rho):
 @pytest.mark.parametrize("h, theta", QUAD_POINTS)
 def test_disk_mean_matches_radial_quadrature(params, mode, h, theta):
     # independent of the (s, c) reduction: the raw integrand r log(1 + SNR(r))
-    dc = derived_constants(params)
     with mpmath.workdps(40):
         hm, tm = mpmath.mpf(h), mpmath.mpf(theta)
         rbar = hm * mpmath.tan(tm)
-        power = dc.alpha if mode == "bc" else dc.eta * rbar**2
+        power = params.alpha if mode == "bc" else params.eta * rbar**2
         integral = mpmath.quad(
             lambda r: r * mpmath.log1p(power / (tm**2 * (hm**2 + r**2))), [0, rbar])
         oracle = 2 * integral / (rbar**2 * mpmath.log(2))
