@@ -12,9 +12,11 @@ one pitch, sqrt(3)*rbar, apart, so no closed tour over n of them is shorter
 than n pitches. layout_centers returns the centers in tour order: a cycle
 of pitch steps only for every layout of two or more columns and four or
 more distinct y values, the column itself for a single column, and a
-two-chain tour for a strip of at most three y values. plan_tour keeps
-nearest neighbor plus 2-opt for arbitrary point sets. _column_rows decides
-the kept cells, one interval of rows per column, for the layout and the cap.
+two-chain tour for a strip of at most three y values. The order is one
+integer index array over the cells, computed from the ends of the column
+intervals, with no Python object per cell. plan_tour keeps nearest neighbor
+plus 2-opt for arbitrary point sets. _column_rows decides the kept cells,
+one interval of rows per column, for the layout and the cap.
 """
 from __future__ import annotations
 
@@ -47,9 +49,10 @@ class MissionPlan(namedtuple("MissionPlan", "centers tour_length_m hover_times_s
     __slots__ = ()
 
 
-def _serpentine(columns: list, y_rank: list) -> list:
-    """Closed visiting order over two or more lattice columns, left to right,
-    each column a list of cell ids bottom to top. Every step is one pitch.
+def _serpentine(ids: np.ndarray, ends: np.ndarray, y_rank: np.ndarray) -> np.ndarray:
+    """Closed visiting order over two or more lattice columns, left to right:
+    ids are 0..n-1, the cells column after column, each bottom to top, and
+    column c ends before id ends[c]. Every step is one pitch.
 
     Column 0 goes up, the middle columns alternate down and up without their
     bottom cells, the last column goes down, and the tour returns along the
@@ -65,25 +68,33 @@ def _serpentine(columns: list, y_rank: list) -> list:
     steps one pitch down C. Where C's bottom cell is the lowest, it steps
     one pitch down C to that cell and then goes to B's bottom.
     """
-    if len(columns) % 2:
-        *columns, b, c = columns
-        down = sorted(b + c, key=y_rank.__getitem__, reverse=True)
-        in_c = set(c)
-        if down[0] in in_c:
-            down[:2] = down[1::-1]
-        if down[-1] in in_c:
-            down[-2:] = down[:-3:-1]
-        columns.append(down[::-1])
-    first, *middle, last = columns
-    order = list(first)
-    for index, column in enumerate(middle):
-        order += column[:0:-1] if index % 2 == 0 else column[1:]
-    order += last[::-1]
-    order += [column[0] for column in reversed(middle)]
-    return order
+    starts = np.concatenate(([0], ends[:-1]))
+    if len(ends) % 2:
+        b, c = ids[starts[-2]:ends[-2]], ids[ends[-2]:]
+        # B and C hold different y_rank parities, so no two cells tie
+        up = np.empty(len(b) + len(c), dtype=ids.dtype)
+        up[np.arange(len(b)) + np.searchsorted(y_rank[c], y_rank[b])] = b
+        up[np.arange(len(c)) + np.searchsorted(y_rank[b], y_rank[c])] = c
+        last = up[::-1]
+        if last[0] >= ends[-2]:  # a cell of C
+            last[:2] = last[1::-1]
+        if last[-1] >= ends[-2]:
+            last[-2:] = last[:-3:-1]
+        starts, ends = starts[:-1], ends[:-1]
+    else:
+        last = ids[starts[-1]:][::-1]
+    # middle column c without its bottom cell: down from its top when c is
+    # odd, up from its second cell when c is even
+    kept = ends[1:-1] - starts[1:-1] - 1
+    odd = np.arange(1, len(ends) - 1) % 2
+    middle = np.arange(kept.sum())
+    middle -= np.repeat(np.cumsum(kept) - kept, kept)  # the position in the column
+    middle *= np.repeat(1 - 2 * odd, kept)
+    middle += np.repeat(starts[1:-1] + 1 + odd * (kept - 1), kept)
+    return np.concatenate((ids[:ends[0]], middle, last, starts[-2:0:-1]))
 
 
-def _strip_tour(ids: np.ndarray, y_rank: np.ndarray, points: np.ndarray) -> list:
+def _strip_tour(ids: np.ndarray, y_rank: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Closed tour over a strip of at most three y values, ids in lattice
     (x, then y) order. Two chains split the y values at a cut: out through
     the lower values in x order, back through the rest in reverse. The
@@ -91,8 +102,8 @@ def _strip_tour(ids: np.ndarray, y_rank: np.ndarray, points: np.ndarray) -> list
     tours = []
     for cut in range(y_rank.min() + 1, y_rank.max() + 1):
         low = y_rank < cut
-        order = np.concatenate((ids[low], ids[~low][::-1])).tolist()
-        tours.append((_cycle_length(points, order), order))
+        order = np.concatenate((ids[low], ids[~low][::-1]))
+        tours.append((_cycle_length(points[order]), order))
     return min(tours, key=lambda tour: tour[0])[1]
 
 
@@ -132,9 +143,9 @@ def layout_centers(width_m: float, height_m: float, circumradius_m: float) -> np
     Keeps every lattice cell whose hexagon overlaps the rectangle
     (_column_rows), so each area point lies in some kept cell and therefore
     within circumradius of its center. Edge cells overhang the boundary;
-    that is intended. The order comes from the lattice indices: a single
-    column bottom to top, _strip_tour for at most three y values,
-    _serpentine otherwise.
+    that is intended. The order is an index array built from the column
+    interval ends: a single column bottom to top, _strip_tour for at most
+    three y values, _serpentine otherwise.
     """
     if width_m <= 0.0 or height_m <= 0.0:
         raise ValueError(f"rectangle dims must be > 0, got {width_m} x {height_m}")
@@ -155,14 +166,13 @@ def layout_centers(width_m: float, height_m: float, circumradius_m: float) -> np
     elif np.ptp(y_rank) <= 2:  # the y values of two or more columns are contiguous
         order = _strip_tour(ids, y_rank, np.column_stack((cx, cy)))
     else:
-        columns = np.split(ids, ends[:-1])
-        order = _serpentine([c.tolist() for c in columns], y_rank.tolist())
+        order = _serpentine(ids, ends, y_rank)
     return np.column_stack((cx[order], cy[order]))
 
 
-def _cycle_length(points: np.ndarray, order: list) -> float:
-    pts = points[order]
-    return float(np.hypot(*(np.roll(pts, -1, axis=0) - pts).T).sum())
+def _cycle_length(pts: np.ndarray) -> float:
+    """Length of the closed tour visiting pts in order."""
+    return float(np.hypot(*(np.concatenate((pts[1:], pts[:1])) - pts).T).sum())
 
 
 _GAIN_TOL = 1e-9  # a 2-opt move must shorten the cycle by more than this
@@ -228,7 +238,7 @@ def plan_tour(centers: np.ndarray, start, v_max: float, *, ordered: bool = False
     n = len(centers)
     cur = int(np.argmin(np.hypot(*(centers - start).T)))
     if ordered:
-        order = list(range(cur, n)) + list(range(cur))
+        tour = np.concatenate((centers[cur:], centers[:cur]))  # the cycle, restarted at cur
     else:
         first = cur
         order = [cur]
@@ -244,9 +254,10 @@ def plan_tour(centers: np.ndarray, start, v_max: float, *, ordered: bool = False
             order = _two_opt(centers, order)
             pos = order.index(first)  # 2-opt may rotate; restart the cycle at the
             order = order[pos:] + order[:pos]  # center nearest `start`
-    length = _cycle_length(centers, order)
+        tour = centers[order]
+    length = _cycle_length(tour)
     fly = length / v_max
-    return MissionPlan(centers=centers[order], tour_length_m=length,
+    return MissionPlan(centers=tour, tour_length_m=length,
                        hover_times_s=np.zeros(n), fly_time_s=fly,
                        completion_time_s=fly, hover_dominance=0.0)
 

@@ -45,6 +45,9 @@ class SystemParams(namedtuple("SystemParams", "beta0 bandwidth_hz p_downlink_w p
             if not value > 0.0:
                 raise ValueError(f"SystemParams.{name} must be > 0, got {value}")
         noise_w = noise_psd_w_hz * bandwidth_hz
+        if noise_w == 0.0:
+            raise ValueError(f"SystemParams.noise_psd_w_hz * bandwidth_hz underflows to 0: "
+                             f"{noise_psd_w_hz} * {bandwidth_hz}")
         alpha = p_downlink_w * G0_DEFAULT * beta0 / noise_w
         eta = p_uplink_w * beta0 * G0_DEFAULT * density_per_m2 * math.pi / noise_w
         for name, value in (("alpha", alpha), ("eta", eta)):

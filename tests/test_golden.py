@@ -53,11 +53,18 @@ COMMANDS = {
 
 # commands on README configs with some keys replaced: label -> (keys, argv).
 # Each link budget exits 2 on a derived SNR scale that is not positive and finite.
+# Each area is one layout branch the README area does not reach, in ~198 m mac
+# cells: an even column count, a strip of two y values and a single column.
 VARIANTS = {
     "optimize bc alpha=inf": ({"p_downlink_dbm": 3100}, ("optimize", "--mode", "bc")),
     "optimize mac eta=0": ({"beta0": 1e-318}, ("optimize", "--mode", "mac")),
     "optimize bc alpha=0": ({"p_downlink_dbm": -3000, "noise_psd_dbm_hz": 3000},
                             ("optimize", "--mode", "bc")),
+    "plan mac 4 columns": ({"area_width_m": 700.0}, ("plan", "--mode", "mac")),
+    "plan mac strip": ({"area_width_m": 2000.0, "area_height_m": 100.0},
+                       ("plan", "--mode", "mac")),
+    "plan mac column": ({"area_width_m": 50.0, "area_height_m": 2000.0},
+                        ("plan", "--mode", "mac")),
 }
 
 GOLDEN = {
@@ -81,6 +88,9 @@ GOLDEN = {
     "optimize bc alpha=inf": "23d681b199ba13ada28a1871763034f3f03c4721e3365145c0ed486919725896",
     "optimize mac eta=0": "98c66463e3be339ba48178c4604afcd816f9ab7c00c012062cb0ca60977d6b29",
     "optimize bc alpha=0": "be5b8a8ebdb6260361f50c341f74a8530c1ca597647c195d5943dfa7bf0ee5d1",
+    "plan mac 4 columns": "49adf770dd99e4cb1f8d85bcf14cb223df273007e971e9b959858dd62cc94286",
+    "plan mac strip": "489639ceeb31d72466b60c96908c5cb50773df4c3b93af34ac3c5932376c23ea",
+    "plan mac column": "3345dc57612e3aac8f2601e458a8622ad751d6883246498bcdd836dcffea6409",
 }
 
 

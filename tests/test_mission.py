@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import tour_reference
 from uavcell import (DeploymentVars, assemble_plan, cell_edge_rate_mc,
                      coverage_radius, layout_centers, mission, plan_tour)
 
@@ -265,10 +266,10 @@ def reference_layout(w, h, R):
     if column[0] == column[-1]:
         order = ids
     elif np.ptp(y_rank[ids]) <= 2:
-        order = mission._strip_tour(ids, y_rank[ids], np.column_stack((cx, cy)))
+        order = tour_reference.strip_tour(ids, y_rank[ids], np.column_stack((cx, cy)))
     else:
         columns = np.split(ids, np.flatnonzero(np.diff(column)) + 1)
-        order = mission._serpentine([c.tolist() for c in columns], y_rank.tolist())
+        order = tour_reference.serpentine([c.tolist() for c in columns], y_rank.tolist())
     return np.column_stack((cx[order], cy[order]))
 
 
@@ -330,6 +331,50 @@ def test_large_lattices_tour_without_two_opt(monkeypatch):
     assert len(lattice) > 100_000
     plan = plan_tour(lattice, (0.0, 0.0), 1.0, ordered=True)
     assert plan.tour_length_m == pytest.approx(len(lattice) * pitch, rel=1e-12)
+
+
+def test_serpentine_matches_the_list_reference():
+    # lattice-like columns of 1 to 6 cells, each starting at a random row, so
+    # the odd-count zig-zag meets every combination of its two end swaps
+    rng = np.random.default_rng(28)
+    swaps = set()
+    for _ in range(3000):
+        columns = int(rng.integers(2, 10))
+        counts = rng.integers(1, 7, columns)
+        ends = np.cumsum(counts)
+        ids = np.arange(ends[-1])
+        j = np.repeat(np.arange(columns), counts)
+        k = ids - np.repeat(ends - counts - rng.integers(-3, 4, columns), counts)
+        y_rank = 2 * k + j % 2
+        want = tour_reference.serpentine([c.tolist() for c in np.split(ids, ends[:-1])],
+                                         y_rank.tolist())
+        got = mission._serpentine(ids, ends, y_rank)
+        assert got.dtype == np.intp and got.tolist() == want, (counts, y_rank)
+        if columns % 2:  # is the top, is the bottom of the last two columns in C
+            cells, c_first = range(ends[-3], ends[-1]), ends[-2]
+            swaps.add((max(cells, key=y_rank.__getitem__) >= c_first,
+                       min(cells, key=y_rank.__getitem__) >= c_first))
+    assert swaps == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_lattice_plans_hold_bytes_in_proportion_to_their_cells():
+    # the order is built in integer index arrays; over Python lists of cell
+    # ids these lattices traced 123 (layout) and 80 (tour) bytes per cell
+    for width in (5100.0, 5110.0):  # 341 and 342 columns
+        tracemalloc.start()
+        try:
+            centers = layout_centers(width, 5100.0, 10.0)
+            layout_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            plan_tour(centers, (0.0, 0.0), 1.0, ordered=True)
+            tour_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        n = len(centers)
+        assert n > 100_000
+        assert layout_peak / n < 100.0, (width, layout_peak / n)
+        assert tour_peak / n < 56.0, (width, tour_peak / n)
 
 
 def test_assemble_plan_uses_lattice_tour(params):

@@ -102,6 +102,15 @@ def test_constructor_refuses_a_bad_snr_scale(changes, name, value):
     assert exc.value.name == name
 
 
+def test_constructor_names_a_noise_power_that_underflows():
+    # each factor is positive, their product is not
+    with pytest.raises(ValueError) as exc:
+        SystemParams(1e-4, 1e-200, 1.0, 1.0, 1e-200, 0.01)
+    assert not isinstance(exc.value, DerivedConstantError)
+    assert str(exc.value) == ("SystemParams.noise_psd_w_hz * bandwidth_hz underflows to 0: "
+                              "1e-200 * 1e-200")
+
+
 def test_replace_rebuilds_alpha_and_eta(params):
     changed = params._replace(density_per_m2=0.01)
     assert changed == make_params(rho=0.01)
