@@ -18,9 +18,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .params import DeploymentVars, SystemParams, require_domain
-
-SQRT3 = math.sqrt(3.0)
+from .params import SQRT3, DeploymentVars, SystemParams, require_domain
 
 HEXAGON = "hexagon"
 DISK = "disk"
@@ -62,9 +60,10 @@ def make_layout(params: SystemParams, vars: DeploymentVars) -> CellLayout:
 
 
 def hex_contains(xy, circumradius: float):
-    """True for points inside the regular hexagon (vertex on +x axis), boundary inclusive."""
-    if circumradius <= 0.0:
-        raise ValueError(f"circumradius must be > 0, got {circumradius}")
+    """True for points inside the regular hexagon (vertex on +x axis), boundary inclusive.
+    A circumradius that is not positive and finite raises ValueError."""
+    if not 0.0 < circumradius < math.inf:  # nan fails too
+        raise ValueError(f"circumradius must be positive and finite, got {circumradius}")
     xy = np.asarray(xy, dtype=float)
     x = np.abs(xy[..., 0])
     y = np.abs(xy[..., 1])

@@ -26,8 +26,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from .geometry import SQRT3, coverage_radius
-from .params import DeploymentVars, SystemParams
+from .geometry import coverage_radius
+from .params import SQRT3, DeploymentVars, SystemParams
 from .rates import MC, MODES, cell_edge_rate_mc
 
 HOVER_DOMINANCE_MIN = 10.0
@@ -94,17 +94,21 @@ def _serpentine(ids: np.ndarray, ends: np.ndarray, y_rank: np.ndarray) -> np.nda
     return np.concatenate((ids[:ends[0]], middle, last, starts[-2:0:-1]))
 
 
-def _strip_tour(ids: np.ndarray, y_rank: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Closed tour over a strip of at most three y values, ids in lattice
+def _strip_tour(y_rank: np.ndarray, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
+    """Closed tour over a strip of at most three y values, cells in lattice
     (x, then y) order. Two chains split the y values at a cut: out through
     the lower values in x order, back through the rest in reverse. The
-    shortest over the cuts is kept."""
-    tours = []
-    for cut in range(y_rank.min() + 1, y_rank.max() + 1):
+    shortest over the cuts is kept; only the winner's order outlives its
+    length."""
+    def order(cut):
         low = y_rank < cut
-        order = np.concatenate((ids[low], ids[~low][::-1]))
-        tours.append((_cycle_length(points[order]), order))
-    return min(tours, key=lambda tour: tour[0])[1]
+        return np.concatenate((np.flatnonzero(low), np.flatnonzero(~low)[::-1]))
+
+    def length(cut):
+        tour = order(cut)
+        return _cycle_length(cx[tour], cy[tour])
+
+    return order(min(range(y_rank.min() + 1, y_rank.max() + 1), key=length))
 
 
 def _column_rows(width_m: float, height_m: float, rbar: float,
@@ -136,6 +140,20 @@ def _column_rows(width_m: float, height_m: float, rbar: float,
     return j[kept], first[kept], last[kept]
 
 
+def _lattice(width_m: float, height_m: float, rbar: float):
+    """(cx, cy, y_rank, ends) of the kept cells, ids 0..n-1 column-major:
+    bottom to top, column after column. y_rank is y in half rows, and column
+    c ends before id ends[c]. The per-cell rows and columns die here."""
+    j, first, last = _column_rows(width_m, height_m, rbar)
+    counts = (last - first + 1.0).astype(int)
+    ends = np.cumsum(counts)
+    j = np.repeat(j.astype(int), counts)
+    k = np.arange(ends[-1]) + np.repeat(first.astype(int) - (ends - counts), counts)
+    cx = 1.5 * rbar * j
+    cy = SQRT3 * rbar * k + (j % 2) * (SQRT3 / 2 * rbar)  # odd columns half a row up
+    return cx, cy, 2 * k + j % 2, ends
+
+
 def layout_centers(width_m: float, height_m: float, circumradius_m: float) -> np.ndarray:
     """Cell centers of the hexagonal tessellation serving the rectangle, in
     closed-tour order.
@@ -145,34 +163,27 @@ def layout_centers(width_m: float, height_m: float, circumradius_m: float) -> np
     within circumradius of its center. Edge cells overhang the boundary;
     that is intended. The order is an index array built from the column
     interval ends: a single column bottom to top, _strip_tour for at most
-    three y values, _serpentine otherwise.
+    three y values, _serpentine otherwise. A side or radius that is not
+    positive and finite raises ValueError naming it.
     """
-    if width_m <= 0.0 or height_m <= 0.0:
-        raise ValueError(f"rectangle dims must be > 0, got {width_m} x {height_m}")
-    rbar = circumradius_m
-    if rbar <= 0.0:
-        raise ValueError(f"circumradius must be > 0, got {rbar}")
-    j, first, last = _column_rows(width_m, height_m, rbar)
-    counts = (last - first + 1.0).astype(int)
-    ends = np.cumsum(counts)
-    ids = np.arange(ends[-1])  # column-major: bottom to top, column after column
-    j = np.repeat(j.astype(int), counts)
-    k = ids + np.repeat(first.astype(int) - (ends - counts), counts)
-    cx = 1.5 * rbar * j
-    cy = SQRT3 * rbar * k + (j % 2) * (SQRT3 / 2 * rbar)  # odd columns half a row up
-    y_rank = 2 * k + j % 2  # y in half rows
-    if len(counts) == 1:
-        order = ids
+    for name, value in (("width_m", width_m), ("height_m", height_m),
+                        ("circumradius_m", circumradius_m)):
+        if not 0.0 < value < math.inf:  # nan fails too
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+    cx, cy, y_rank, ends = _lattice(width_m, height_m, circumradius_m)
+    if len(ends) == 1:
+        order = slice(None)
     elif np.ptp(y_rank) <= 2:  # the y values of two or more columns are contiguous
-        order = _strip_tour(ids, y_rank, np.column_stack((cx, cy)))
+        order = _strip_tour(y_rank, cx, cy)
     else:
-        order = _serpentine(ids, ends, y_rank)
+        order = _serpentine(np.arange(ends[-1]), ends, y_rank)
     return np.column_stack((cx[order], cy[order]))
 
 
-def _cycle_length(pts: np.ndarray) -> float:
-    """Length of the closed tour visiting pts in order."""
-    return float(np.hypot(*(np.concatenate((pts[1:], pts[:1])) - pts).T).sum())
+def _cycle_length(x: np.ndarray, y: np.ndarray) -> float:
+    """Length of the closed tour visiting the points (x, y) in order."""
+    return float(np.hypot(np.concatenate((x[1:], x[:1])) - x,
+                          np.concatenate((y[1:], y[:1])) - y).sum())
 
 
 _GAIN_TOL = 1e-9  # a 2-opt move must shorten the cycle by more than this
@@ -232,8 +243,8 @@ def plan_tour(centers: np.ndarray, start, v_max: float, *, ordered: bool = False
     centers = np.asarray(centers, dtype=float)
     if centers.ndim != 2 or centers.shape[1] != 2 or len(centers) == 0:
         raise ValueError("centers must be a non-empty (n, 2) array")
-    if v_max <= 0.0:
-        raise ValueError(f"v_max must be > 0, got {v_max}")
+    if not 0.0 < v_max < math.inf:  # nan fails too
+        raise ValueError(f"v_max must be positive and finite, got {v_max}")
     start = np.asarray(start, dtype=float)
     n = len(centers)
     cur = int(np.argmin(np.hypot(*(centers - start).T)))
@@ -255,7 +266,7 @@ def plan_tour(centers: np.ndarray, start, v_max: float, *, ordered: bool = False
             pos = order.index(first)  # 2-opt may rotate; restart the cycle at the
             order = order[pos:] + order[:pos]  # center nearest `start`
         tour = centers[order]
-    length = _cycle_length(tour)
+    length = _cycle_length(*tour.T)
     fly = length / v_max
     return MissionPlan(centers=tour, tour_length_m=length,
                        hover_times_s=np.zeros(n), fly_time_s=fly,

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
+SQRT3 = math.sqrt(3.0)  # hexagon proportions: a cell of circumradius R has area 1.5*SQRT3*R^2
+
 # Boresight coefficient g0 of the symmetric directional antenna model:
 # main-lobe gain = g0 / theta^2 for half-beamwidth theta (radians), 0 outside.
 G0_DEFAULT = 30000 / 2**2 * (math.pi / 180) ** 2  # ~2.2846, dimensionless

@@ -15,8 +15,7 @@ import math
 
 import numpy as np
 
-from .geometry import SQRT3
-from .params import DeploymentVars, SystemParams, require_domain
+from .params import SQRT3, DeploymentVars, SystemParams, require_domain
 
 LN2 = math.log(2.0)
 

@@ -48,6 +48,13 @@ def test_hex_contains_vectorized():
     assert got.tolist() == [True, True, False, False]
 
 
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+def test_hex_contains_refuses_a_radius_that_is_not_positive_and_finite(radius):
+    # a nan radius used to answer False for every point
+    with pytest.raises(ValueError, match=f"circumradius must be positive and finite, got {radius}"):
+        hex_contains((0.0, 0.0), radius)
+
+
 def test_layout_mean_counts(params):
     # rbar = 100 m cell: 129.9 terminals in the hexagon, 157.1 in the disk
     quarter = DeploymentVars(100.0, math.pi / 4)

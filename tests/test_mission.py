@@ -1,4 +1,5 @@
 """Hexagonal tiling of a service rectangle and the hover-and-fly tour."""
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -69,6 +70,30 @@ def test_layout_rejects_empty_rect():
         layout_centers(0.0, 100.0, 10.0)
     with pytest.raises(ValueError):
         layout_centers(100.0, 100.0, -1.0)
+
+
+@pytest.mark.parametrize("name, args", [
+    ("width_m", (math.nan, 100.0, 10.0)),
+    ("width_m", (math.inf, 100.0, 10.0)),  # was numpy's "Maximum allowed size exceeded"
+    ("height_m", (100.0, math.nan, 10.0)),
+    ("height_m", (100.0, math.inf, 10.0)),
+    ("circumradius_m", (100.0, 100.0, math.nan)),
+    ("circumradius_m", (100.0, 100.0, math.inf)),
+])
+def test_layout_refuses_a_side_or_radius_that_is_not_finite(name, args):
+    # nan sides and radii and an infinite radius used to end in a TypeError
+    # from unpacking the None that _column_rows returns
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got"):
+        layout_centers(*args)
+
+
+@pytest.mark.parametrize("v_max", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("ordered", [True, False])
+def test_tour_refuses_a_speed_that_is_not_positive_and_finite(v_max, ordered):
+    # v_max = nan used to give a nan flying time
+    centers = layout_centers(100.0, 100.0, 10.0)
+    with pytest.raises(ValueError, match=f"^v_max must be positive and finite, got {v_max}"):
+        plan_tour(centers, (0.0, 0.0), v_max, ordered=ordered)
 
 
 def test_single_center_tour():
@@ -359,11 +384,15 @@ def test_serpentine_matches_the_list_reference():
 
 def test_lattice_plans_hold_bytes_in_proportion_to_their_cells():
     # the order is built in integer index arrays; over Python lists of cell
-    # ids these lattices traced 123 (layout) and 80 (tour) bytes per cell
-    for width in (5100.0, 5110.0):  # 341 and 342 columns
+    # ids these lattices traced 123 (layout) and 80 (tour) bytes per cell.
+    # The strip of two rows, one cell per column, traced 145 bytes per cell
+    # while every center was stacked and each cut's order was kept.
+    for width, height, digest in ((5100.0, 5100.0, "c052ad2165ec3d63"),  # 341 columns
+                                  (5110.0, 5100.0, "c51016b6144bc5f2"),  # 342 columns
+                                  (1.5e6, 3.0, "da525c6b0c5e6f49")):     # 100,001 columns
         tracemalloc.start()
         try:
-            centers = layout_centers(width, 5100.0, 10.0)
+            centers = layout_centers(width, height, 10.0)
             layout_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
@@ -375,6 +404,8 @@ def test_lattice_plans_hold_bytes_in_proportion_to_their_cells():
         assert n > 100_000
         assert layout_peak / n < 100.0, (width, layout_peak / n)
         assert tour_peak / n < 56.0, (width, tour_peak / n)
+        # the tour order is the one the list-built code chose, byte for byte
+        assert hashlib.sha256(centers.tobytes()).hexdigest()[:16] == digest, width
 
 
 def test_assemble_plan_uses_lattice_tour(params):

@@ -9,7 +9,7 @@ from conftest import make_params
 from snr_reference import snr_mac, snr_mc
 from uavcell import (MODES, DeploymentVars, SimSpec, cell_edge_rate_mc, coverage_radius,
                      dbm_to_watts, geometry, montecarlo, simulate_rate)
-from uavcell.geometry import SQRT3
+from uavcell.params import SQRT3
 
 
 def test_simspec_region_defaults(params, monkeypatch):
