@@ -404,7 +404,7 @@ def test_lattice_plans_hold_bytes_in_proportion_to_their_cells():
         assert n > 100_000
         assert layout_peak / n < 100.0, (width, layout_peak / n)
         assert tour_peak / n < 56.0, (width, tour_peak / n)
-        # the tour order is the one the list-built code chose, byte for byte
+        # sha256 prefixes of the centers as the stacking strip tour laid them out
         assert hashlib.sha256(centers.tobytes()).hexdigest()[:16] == digest, width
 
 
