@@ -36,6 +36,9 @@ HOVER_DOMINANCE_MIN = 10.0
 # to a few meters (bc flies low and narrow) is a wrong box, not a mission
 MAX_PLAN_CELLS = 4096
 
+# cells whose (n, 2) float64 centers numpy can size; layout_centers refuses more
+_MAX_LAYOUT_CELLS = sys.maxsize // 16
+
 
 class PlanTooLarge(ValueError):
     """The rectangle needs more than MAX_PLAN_CELLS cells."""
@@ -143,8 +146,17 @@ def _column_rows(width_m: float, height_m: float, rbar: float,
 def _lattice(width_m: float, height_m: float, rbar: float):
     """(cx, cy, y_rank, ends) of the kept cells, ids 0..n-1 column-major:
     bottom to top, column after column. y_rank is y in half rows, and column
-    c ends before id ends[c]. The per-cell rows and columns die here."""
-    j, first, last = _column_rows(width_m, height_m, rbar)
+    c ends before id ends[c]. The per-cell rows and columns die here. A side
+    whose cells are more than an array can hold raises ValueError naming it."""
+    # counted in floats, as assemble_plan does, so that a huge side makes no array
+    rows = _column_rows(width_m, height_m, rbar, _MAX_LAYOUT_CELLS)
+    if rows is None or not np.sum(rows[2] - rows[1] + 1.0) <= _MAX_LAYOUT_CELLS:
+        # too many columns, or, in the columns that an array holds, too many rows
+        name = "width_m" if rows is None else "height_m"
+        raise ValueError(f"{name}: a {width_m} m x {height_m} m rectangle needs more than "
+                         f"{_MAX_LAYOUT_CELLS} cells of radius {rbar} m")
+    j, first, last = rows
+    del rows  # each per-column array dies when it is last used
     counts = (last - first + 1.0).astype(int)
     ends = np.cumsum(counts)
     j = np.repeat(j.astype(int), counts)
@@ -164,7 +176,8 @@ def layout_centers(width_m: float, height_m: float, circumradius_m: float) -> np
     that is intended. The order is an index array built from the column
     interval ends: a single column bottom to top, _strip_tour for at most
     three y values, _serpentine otherwise. A side or radius that is not
-    positive and finite raises ValueError naming it.
+    positive and finite, or whose cells are more than an array can hold,
+    raises ValueError naming it.
     """
     for name, value in (("width_m", width_m), ("height_m", height_m),
                         ("circumradius_m", circumradius_m)):

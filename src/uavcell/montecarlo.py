@@ -12,10 +12,14 @@ last one shorter), where a chunk may start or end inside a realization.
 A chunk takes one 64-bit seed for its positions' side stream, then one
 uniform per disk terminal or two per hexagon terminal. Each realization's
 statistic (the largest r^2 for mc, the sum of ln(1 + SNR) for bc and mac)
-is reduced across the chunks it touches. Every chunk is drawn into one
-workspace per call, so memory is bounded by BLOCK_TERMINALS, not by the
-cell. Results are bit-reproducible for a fixed seed, but realization i
-depends on the realization count, not on (seed, i) alone.
+is reduced across the chunks it touches. The realizations that each chunk
+spans, and where each one begins in it, come from the running sums of the
+counts, searched once per call; a chunk reduces straight into the
+statistics of its realizations, and only a chunk that spans empty ones
+leaves them out first. Every chunk is drawn into one workspace per call, so
+memory is bounded by BLOCK_TERMINALS, not by the cell. Results are
+bit-reproducible for a fixed seed, but realization i depends on the
+realization count, not on (seed, i) alone.
 """
 from __future__ import annotations
 
@@ -52,8 +56,8 @@ MAX_SIM_TERMINALS = 10**8
 
 # realizations that one command may simulate, over all its sweep rows (the
 # CLI exits 2 above it). A realization holds about 39 B until its simulate
-# call returns and costs 0.12 to 0.19 us, whatever its cell: 1e6
-# realizations of half a terminal took 0.12 to 0.19 s and peaked at 67 to
+# call returns and costs 0.09 to 0.12 us, whatever its cell: 1e6
+# realizations of half a terminal took 0.094 to 0.112 s and peaked at 66 to
 # 72 MB RSS, against 35 MB for 100, on a 2-core x86 VM.
 MAX_SIM_REALIZATIONS = 10**6
 
@@ -107,23 +111,19 @@ def expected_terminals(params: SystemParams, vars: DeploymentVars, spec: SimSpec
                                            _REGION_FOR_MODE[spec.mode])
 
 
-def _partials(mode: str, chunk: GtRealization, full_counts: np.ndarray,
+def _partials(mode: str, chunk: GtRealization, begins: np.ndarray, full_counts: np.ndarray,
               params: SystemParams, vars: DeploymentVars, ws: Workspace) -> np.ndarray:
-    """What each realization of a chunk adds to its statistic: the largest
-    r^2 for mc, the sum of ln(1 + SNR) over its terminals for bc and mac.
+    """What each realization of a chunk that holds terminals in it adds to
+    its statistic: the largest r^2 for mc, the sum of ln(1 + SNR) over its
+    terminals for bc and mac.
 
-    chunk.counts are each realization's terminals in the chunk, and
-    full_counts its whole count, which sets mac's 1/n bandwidth share.
+    begins are where those realizations' terminals begin in the chunk, in
+    range and increasing, as reduceat needs. chunk.counts are the terminals
+    in the chunk of every realization it spans, the empty ones too, and
+    full_counts their whole counts, which set mac's 1/n bandwidth share.
     """
-    counts = chunk.counts
-    partial = np.zeros(len(counts))
-    filled = counts > 0
-    # reduceat needs strictly in-range starts, so empty realizations are
-    # left out; each remaining start is the first of its terminals
-    starts = (np.cumsum(counts) - counts)[filled]
     if mode == MC:
-        partial[filled] = np.maximum.reduceat(chunk.r2, starts)
-        return partial
+        return np.maximum.reduceat(chunk.r2, begins)
     theta2 = vars.half_beamwidth_rad**2
     snr = np.add(chunk.r2, vars.altitude_m**2, out=ws.array("snr", len(chunk.r2)))
     if mode == BC:
@@ -136,15 +136,14 @@ def _partials(mode: str, chunk: GtRealization, full_counts: np.ndarray,
             scale = params.alpha
         np.divide(scale, snr, out=snr)
     else:  # MAC: each of the n terminals gets a 1/n bandwidth share
-        n = full_counts[filled]
         scale = params.eta / (params.density_per_m2 * math.pi * theta2)
-        if scale * float(n.max()) < math.inf:
-            np.divide(np.repeat(n * scale, counts[filled]), snr, out=snr)
+        if scale * float(full_counts.max()) < math.inf:
+            np.divide(np.repeat(full_counts * scale, chunk.counts), snr, out=snr)
         else:  # eta near the float maximum: it is divided by the squared distances first
             np.divide(params.eta, snr, out=snr)
-            snr *= np.repeat(n / (params.density_per_m2 * math.pi * theta2), counts[filled])
-    partial[filled] = np.add.reduceat(np.log1p(snr, out=snr), starts)
-    return partial
+            snr *= np.repeat(full_counts / (params.density_per_m2 * math.pi * theta2),
+                             chunk.counts)
+    return np.add.reduceat(np.log1p(snr, out=snr), begins)
 
 
 def _values(mode: str, stats: np.ndarray, counts: np.ndarray, params: SystemParams,
@@ -157,7 +156,7 @@ def _values(mode: str, stats: np.ndarray, counts: np.ndarray, params: SystemPara
     mac average the per-terminal rates. An empty realization scores 0.
     """
     values = np.zeros(len(counts))
-    filled = counts > 0
+    filled = slice(None) if counts.all() else counts > 0
     n = counts[filled]
     if mode == MC:
         d2 = vars.altitude_m**2 + stats[filled]
@@ -173,22 +172,41 @@ def simulate_rate(params: SystemParams, vars: DeploymentVars,
     region = _REGION_FOR_MODE[spec.mode]
     rng = np.random.default_rng(spec.seed)
     counts = draw_counts(rng, _mean_count(layout, region), spec.count_model, spec.realizations)
-    ends = np.cumsum(counts)
-    total = int(ends[-1])
+    # realization i holds terminals edges[i]:edges[i + 1] of the stream
+    edges = np.zeros(spec.realizations + 1, dtype=counts.dtype)
+    np.cumsum(counts, out=edges[1:])
+    total = int(edges[-1])
+    # chunk k holds terminals bounds[k]:bounds[k + 1], of realizations
+    # firsts[k]:lasts[k]: the one holding its first terminal, the one
+    # holding its last, and the empty ones between them
+    bounds = np.minimum(np.arange(0, total + BLOCK_TERMINALS, BLOCK_TERMINALS), total)
+    firsts = np.searchsorted(edges, bounds[:-1], side="right") - 1
+    lasts = np.searchsorted(edges, bounds[1:])
+    has_empty = not counts.all()
     reduce = np.maximum if spec.mode == MC else np.add
     stats = np.zeros(spec.realizations)
     ws = Workspace()
-    for start in range(0, total, BLOCK_TERMINALS):
-        stop = min(start + BLOCK_TERMINALS, total)
-        # the realizations holding terminals start and stop - 1, and the
-        # empty ones between them
-        span = slice(np.searchsorted(ends, start, side="right"),
-                     np.searchsorted(ends, stop) + 1)
-        in_chunk = np.minimum(ends[span], stop) - np.maximum(ends[span] - counts[span], start)
+    for start, stop, a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist(), firsts.tolist(),
+                                 lasts.tolist()):
+        # where each realization begins and ends in the chunk: only the
+        # first can begin before it, and only the last end after it
+        offsets = edges[a:b + 1] - start
+        offsets[0] = 0
+        offsets[-1] = stop - start
+        in_chunk = offsets[1:] - offsets[:-1]
         chunk = sample_gts(layout, region, rng, in_chunk, workspace=ws)
-        reduce(stats[span], _partials(spec.mode, chunk, counts[span], params, vars, ws),
-               out=stats[span])
-    del ends  # as large as stats, and no longer needed
+        if has_empty and not in_chunk.all():
+            # reduceat needs strictly in-range starts, so the empty
+            # realizations, which add nothing, are left out
+            filled = np.flatnonzero(in_chunk)
+            rows = a + filled
+            stats[rows] = reduce(stats[rows], _partials(spec.mode, chunk, offsets[filled],
+                                                        counts[a:b], params, vars, ws))
+        else:
+            span = stats[a:b]
+            reduce(span, _partials(spec.mode, chunk, offsets[:-1], counts[a:b], params, vars,
+                                   ws), out=span)
+    del edges  # as large as stats, and no longer needed
     values = _values(spec.mode, stats, counts, params, vars)
     return SimResult(mode=spec.mode, empirical_mean_bps_hz=float(np.mean(values)),
                      per_realization=values, gt_counts=counts, params=params, vars=vars)

@@ -49,6 +49,18 @@ COMMANDS = {
     # exits 2: a 16 m^2 hexagon holds 0.08 expected terminals
     "simulate mc fixed count 0": ("simulate", "--mode", "mc", "--altitude", "50", "--theta",
                                   "0.05", "--count-model", "fixed"),
+    # 0.33 (hexagon) and 0.40 (disk) expected terminals: most realizations
+    # are empty, and they lie on both sides of the first chunk edge
+    **{f"simulate {mode} --csv empty cells": ("simulate", "--mode", mode, "--altitude", "50",
+                                              "--theta", "0.1", "--realizations", "40000",
+                                              "--csv") for mode in MODES},
+    # 42,000 (hexagon) and 51,000 (disk) expected terminals: each
+    # realization spans more than two chunks
+    **{f"simulate {mode} --csv many chunks": ("simulate", "--mode", mode, "--altitude", "500",
+                                              "--theta", "1.3", "--realizations", "3", "--csv")
+       for mode in MODES},
+    "simulate mac fixed --csv": ("simulate", "--mode", "mac", "--realizations", "20",
+                                 "--count-model", "fixed", "--csv"),
 }
 
 # commands on README configs with some keys replaced: label -> (keys, argv).
@@ -85,6 +97,13 @@ GOLDEN = {
     "simulate mac --csv": "18efcfbcd5afbab7b2d2f6a833afdb5f6ddcd5fa544543ac3a5cbda2768f0923",
     "sweep bc theta --with-sim": "8d3d89b45a4bebe92c42af48de74e9cf298443ab9d76e851fc3a179cba16781c",
     "simulate mc fixed count 0": "33264dfa0af3148768e12d812a6b9d7c8ad51d05b259b452a4b680421b89a7a5",
+    "simulate mc --csv empty cells": "222f4a5e38d662326b0a0013382cd27e60d339fff5a51b6b300e3d96edd6c5e3",
+    "simulate bc --csv empty cells": "63a2f8c836a476e652ae4b40432ff87256dbaef7c7d221664fb97bc2026e2fe1",
+    "simulate mac --csv empty cells": "2c6cbd0641008bfc932267deddb17ff266dadff71fe2de982383fd49200311ff",
+    "simulate mc --csv many chunks": "223146062a7eeaa48611b110fbbf195b91cb8d2b62cc4a98679cf2b80716a829",
+    "simulate bc --csv many chunks": "2bb9b20861ebfedfae8420c1122b23052a6fd2125d5df5176b2334fde01ff797",
+    "simulate mac --csv many chunks": "26f2d844dd25c76c49f41bc17bf1b3a80bb3407fdcc5d106f4c9f295d9d47c1e",
+    "simulate mac fixed --csv": "77386d1244f6f13a87332b694da5def10e67224ef8beeebdd60260a187397a0a",
     "optimize bc alpha=inf": "23d681b199ba13ada28a1871763034f3f03c4721e3365145c0ed486919725896",
     "optimize mac eta=0": "98c66463e3be339ba48178c4604afcd816f9ab7c00c012062cb0ca60977d6b29",
     "optimize bc alpha=0": "be5b8a8ebdb6260361f50c341f74a8530c1ca597647c195d5943dfa7bf0ee5d1",

@@ -2,7 +2,9 @@
 import hashlib
 import itertools
 import math
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +87,27 @@ def test_layout_refuses_a_side_or_radius_that_is_not_finite(name, args):
     # from unpacking the None that _column_rows returns
     with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got"):
         layout_centers(*args)
+
+
+@pytest.mark.parametrize("name, args", [
+    ("width_m", (1e300, 100.0, 10.0)),  # was numpy's "Maximum allowed size exceeded"
+    ("height_m", (100.0, 1e300, 10.0)),  # was a cast warning, then negative repeats
+    ("width_m", (sys.float_info.max, 100.0, 10.0)),
+    ("height_m", (100.0, sys.float_info.max, 10.0)),
+])
+def test_layout_refuses_a_side_with_more_cells_than_an_array_holds(name, args):
+    # the counts stay floats until they are checked: no array, no warning
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{name}: a .* rectangle needs more than "
+                                                 f"{mission._MAX_LAYOUT_CELLS} cells"):
+                layout_centers(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 @pytest.mark.parametrize("v_max", [0.0, -1.0, math.nan, math.inf])

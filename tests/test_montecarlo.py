@@ -1,5 +1,7 @@
 """Seeded Monte Carlo validation of the analytic throughput expressions."""
 import math
+import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -184,15 +186,21 @@ def test_chunk_edges_match_a_loop(params, monkeypatch, mode):
     assert res.per_realization[[1, 3, 5]].tolist() == [0.0, 0.0, 0.0]
 
 
+def _point_holding(params, mode, terminals, theta):
+    """The point at half-beamwidth theta whose cell (the mode's region)
+    holds the given expected terminals."""
+    area_per_r2 = 1.5 * SQRT3 if mode == "mc" else math.pi
+    radius = math.sqrt(terminals / (params.density_per_m2 * area_per_r2))
+    return DeploymentVars(radius / math.tan(theta), theta)
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_memory_does_not_grow_with_the_cell(params, mode):
     # terminals are drawn and reduced in chunks of BLOCK_TERMINALS, into
     # one workspace per call: the peak is the same at 1e4 and 1e6 expected
     # terminals per realization (drawn whole, it was 0.9 MB and 89 MB)
-    area_per_r2 = 1.5 * SQRT3 if mode == "mc" else math.pi
     for terminals, realizations in ((1e4, 10), (1e6, 2)):
-        radius = math.sqrt(terminals / (params.density_per_m2 * area_per_r2))
-        point = DeploymentVars(radius / math.tan(1.0), 1.0)
+        point = _point_holding(params, mode, terminals, 1.0)
         tracemalloc.start()
         try:
             res = simulate_rate(params, point, SimSpec(mode=mode, realizations=realizations,
@@ -202,6 +210,62 @@ def test_memory_does_not_grow_with_the_cell(params, mode):
             tracemalloc.stop()
         assert res.gt_counts.min() > 0.9 * terminals
         assert peak <= 2e6, (terminals, peak)
+
+
+# Python frames entered in uavcell's own modules by one simulate_rate call:
+# the layout, the counts and the values once per call, and per chunk
+# sample_gts, its region sampler, its workspace lookups and _partials.
+# Upper bounds, so that a helper or wrapper added to the chunk loop fails
+# here at ten or more chunks without any timing.
+SIMULATE_CALL_FRAMES = 8
+SIMULATE_CHUNK_FRAMES = 6
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("terminals, realizations, chunks", [(300.0, 20, 1), (3000.0, 10, 3),
+                                                             (30000.0, 5, 13)])
+def test_simulate_call_budget(params, mode, terminals, realizations, chunks):
+    package = os.path.dirname(montecarlo.__file__) + os.sep
+    point = _point_holding(params, mode, terminals, 1.0)
+    spec = SimSpec(mode=mode, realizations=realizations, seed=4, count_model="fixed")
+    frames = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            frames.append(frame.f_code.co_name)
+
+    counts = []
+    for _ in range(2):  # nothing kept from the first call shortens the second
+        frames.clear()
+        sys.setprofile(profile)
+        try:
+            simulate_rate(params, point, spec)
+        finally:
+            sys.setprofile(None)
+        assert frames.count("sample_gts") == chunks  # one draw per chunk
+        assert len(frames) <= SIMULATE_CALL_FRAMES + SIMULATE_CHUNK_FRAMES * chunks, \
+            sorted(frames)
+        counts.append(len(frames))
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_memory_per_realization(params, mode):
+    # 200,000 realizations of half a terminal each, most of them empty: the
+    # README's ~39 bytes per realization (the counts, the statistics and
+    # the values, with the mask and temporaries of the values) plus a fixed
+    # allowance for the chunk workspace. An extra array as long as the
+    # realizations, kept through the call, adds 8 bytes per realization
+    realizations = 200_000
+    point = _point_holding(params, mode, 0.5, 0.5)
+    tracemalloc.start()
+    try:
+        res = simulate_rate(params, point, SimSpec(mode=mode, realizations=realizations, seed=4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.55 < (res.gt_counts == 0).mean() < 0.65
+    assert peak <= 39 * realizations + 500_000, peak / realizations
 
 
 def test_single_realization_has_no_stderr(params):
