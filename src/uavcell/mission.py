@@ -21,6 +21,7 @@ one interval of rows per column, for the layout and the cap.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from collections import namedtuple
 
@@ -36,8 +37,9 @@ HOVER_DOMINANCE_MIN = 10.0
 # to a few meters (bc flies low and narrow) is a wrong box, not a mission
 MAX_PLAN_CELLS = 4096
 
-# cells whose (n, 2) float64 centers numpy can size; layout_centers refuses more
-_MAX_LAYOUT_CELLS = sys.maxsize // 16
+# cells whose layout, about 81 B each at its peak, fits in physical memory;
+# layout_centers refuses more
+_MAX_LAYOUT_CELLS = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 81
 
 
 class PlanTooLarge(ValueError):
@@ -114,10 +116,9 @@ def _strip_tour(y_rank: np.ndarray, cx: np.ndarray, cy: np.ndarray) -> np.ndarra
     return order(min(range(y_rank.min() + 1, y_rank.max() + 1), key=length))
 
 
-def _column_rows(width_m: float, height_m: float, rbar: float,
-                 max_columns: float = math.inf):
+def _column_rows(width_m: float, height_m: float, rbar: float, max_cells: float = math.inf):
     """Kept lattice columns j and each one's first and last row k, as floats,
-    or None when more than max_columns columns are tried.
+    or None when they hold more than max_cells cells.
 
     Column j sits at x = 1.5*rbar*j, its rows every sqrt(3)*rbar in y, odd
     columns half a row up; a hexagon has one vertex on the +x axis (as in
@@ -128,10 +129,17 @@ def _column_rows(width_m: float, height_m: float, rbar: float,
     Columns are tried from j = 0 while x - rbar < width; only the last can
     hold no row, and is then dropped. The slack scales with the shortest
     length, so a thin rectangle still overlaps.
+
+    The cells are counted in floats, so that a huge or nan side makes no
+    array and cannot wrap: first the columns and a lower bound on their
+    rows, then the kept rows exactly.
     """
     eps = 1e-9 * min(rbar, width_m, height_m)
     columns = np.ceil((width_m - eps + rbar) / (1.5 * rbar))
-    if not columns <= max_columns:  # nan fails too
+    # every column but the last lies over the rectangle, whose height it
+    # spans with at least height / (sqrt(3)*rbar) - 1 rows
+    if not (columns <= max_cells + 1  # the last may be empty; nan fails too
+            and (columns - 1.0) * (height_m / (SQRT3 * rbar) - 1.0) <= max_cells):
         return None
     j = np.arange(columns)
     half = SQRT3 / 2 * rbar
@@ -140,21 +148,21 @@ def _column_rows(width_m: float, height_m: float, rbar: float,
     first = np.floor((eps - half + cut - offset) / (SQRT3 * rbar)) + 1.0
     last = np.ceil((height_m + half - eps - cut - offset) / (SQRT3 * rbar)) - 1.0
     kept = first <= last
-    return j[kept], first[kept], last[kept]
+    j, first, last = j[kept], first[kept], last[kept]
+    if not np.sum(last - first + 1.0) <= max_cells:
+        return None
+    return j, first, last
 
 
 def _lattice(width_m: float, height_m: float, rbar: float):
     """(cx, cy, y_rank, ends) of the kept cells, ids 0..n-1 column-major:
     bottom to top, column after column. y_rank is y in half rows, and column
-    c ends before id ends[c]. The per-cell rows and columns die here. A side
-    whose cells are more than an array can hold raises ValueError naming it."""
-    # counted in floats, as assemble_plan does, so that a huge side makes no array
+    c ends before id ends[c]. The per-cell rows and columns die here. Sides
+    of more cells than fit in memory raise ValueError naming them."""
     rows = _column_rows(width_m, height_m, rbar, _MAX_LAYOUT_CELLS)
-    if rows is None or not np.sum(rows[2] - rows[1] + 1.0) <= _MAX_LAYOUT_CELLS:
-        # too many columns, or, in the columns that an array holds, too many rows
-        name = "width_m" if rows is None else "height_m"
-        raise ValueError(f"{name}: a {width_m} m x {height_m} m rectangle needs more than "
-                         f"{_MAX_LAYOUT_CELLS} cells of radius {rbar} m")
+    if rows is None:
+        raise ValueError(f"width_m and height_m: a {width_m} m x {height_m} m rectangle needs "
+                         f"more than {_MAX_LAYOUT_CELLS} cells of radius {rbar} m")
     j, first, last = rows
     del rows  # each per-column array dies when it is last used
     counts = (last - first + 1.0).astype(int)
@@ -176,8 +184,8 @@ def layout_centers(width_m: float, height_m: float, circumradius_m: float) -> np
     that is intended. The order is an index array built from the column
     interval ends: a single column bottom to top, _strip_tour for at most
     three y values, _serpentine otherwise. A side or radius that is not
-    positive and finite, or whose cells are more than an array can hold,
-    raises ValueError naming it.
+    positive and finite raises ValueError naming it, and so do sides of
+    more cells than fit in memory.
     """
     for name, value in (("width_m", width_m), ("height_m", height_m),
                         ("circumradius_m", circumradius_m)):
@@ -300,9 +308,7 @@ def assemble_plan(params: SystemParams, vars: DeploymentVars, mode: str,
         raise ValueError(f"per-cell payload must be > 0, got {per_cell_payload}")
     width_m, height_m = area
     rbar = coverage_radius(vars.altitude_m, vars.half_beamwidth_rad)
-    # counted in floats, so a huge or nan span makes no array and cannot wrap
-    rows = _column_rows(width_m, height_m, rbar, MAX_PLAN_CELLS + 1)  # the last may be empty
-    if rows is None or not np.sum(rows[2] - rows[1] + 1.0) <= MAX_PLAN_CELLS:
+    if _column_rows(width_m, height_m, rbar, MAX_PLAN_CELLS) is None:
         raise PlanTooLarge(f"a {width_m} m x {height_m} m area needs more than "
                            f"{MAX_PLAN_CELLS} cells of radius {rbar:.3g} m")
     centers = layout_centers(width_m, height_m, rbar)

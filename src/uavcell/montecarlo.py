@@ -14,12 +14,12 @@ uniform per disk terminal or two per hexagon terminal. Each realization's
 statistic (the largest r^2 for mc, the sum of ln(1 + SNR) for bc and mac)
 is reduced across the chunks it touches. The realizations that each chunk
 spans, and where each one begins in it, come from the running sums of the
-counts, searched once per call; a chunk reduces straight into the
-statistics of its realizations, and only a chunk that spans empty ones
-leaves them out first. Every chunk is drawn into one workspace per call, so
-memory is bounded by BLOCK_TERMINALS, not by the cell. Results are
-bit-reproducible for a fixed seed, but realization i depends on the
-realization count, not on (seed, i) alone.
+counts, searched once per call; every chunk reduces straight into the
+statistics of its realizations. An empty realization's statistic is left
+undefined and is never read: it scores 0. Every chunk is drawn into one
+workspace per call, so memory is bounded by BLOCK_TERMINALS, not by the
+cell. Results are bit-reproducible for a fixed seed, but realization i
+depends on the realization count, not on (seed, i) alone.
 """
 from __future__ import annotations
 
@@ -56,8 +56,8 @@ MAX_SIM_TERMINALS = 10**8
 
 # realizations that one command may simulate, over all its sweep rows (the
 # CLI exits 2 above it). A realization holds about 39 B until its simulate
-# call returns and costs 0.09 to 0.12 us, whatever its cell: 1e6
-# realizations of half a terminal took 0.094 to 0.112 s and peaked at 66 to
+# call returns and costs 0.10 to 0.16 us, whatever its cell: 1e6
+# realizations of half a terminal took 0.096 to 0.164 s and peaked at 65 to
 # 72 MB RSS, against 35 MB for 100, on a 2-core x86 VM.
 MAX_SIM_REALIZATIONS = 10**6
 
@@ -113,14 +113,16 @@ def expected_terminals(params: SystemParams, vars: DeploymentVars, spec: SimSpec
 
 def _partials(mode: str, chunk: GtRealization, begins: np.ndarray, full_counts: np.ndarray,
               params: SystemParams, vars: DeploymentVars, ws: Workspace) -> np.ndarray:
-    """What each realization of a chunk that holds terminals in it adds to
-    its statistic: the largest r^2 for mc, the sum of ln(1 + SNR) over its
-    terminals for bc and mac.
+    """What each realization that a chunk spans adds to its statistic: the
+    largest r^2 for mc, the sum of ln(1 + SNR) over its terminals for bc and
+    mac.
 
-    begins are where those realizations' terminals begin in the chunk, in
-    range and increasing, as reduceat needs. chunk.counts are the terminals
-    in the chunk of every realization it spans, the empty ones too, and
-    full_counts their whole counts, which set mac's 1/n bandwidth share.
+    begins are where the realizations' terminals begin in the chunk, in
+    range and never decreasing, as reduceat needs. chunk.counts are their
+    terminals in the chunk, and full_counts their whole counts, which set
+    mac's 1/n bandwidth share. An empty realization, which begins where the
+    next one does, gets one terminal's value from reduceat; it is undefined,
+    and _values never reads it.
     """
     if mode == MC:
         return np.maximum.reduceat(chunk.r2, begins)
@@ -153,7 +155,8 @@ def _values(mode: str, stats: np.ndarray, counts: np.ndarray, params: SystemPara
     use it.
 
     mc serves every terminal at the rate of its farthest sampled one; bc and
-    mac average the per-terminal rates. An empty realization scores 0.
+    mac average the per-terminal rates. An empty realization scores 0,
+    whatever its statistic holds.
     """
     values = np.zeros(len(counts))
     filled = slice(None) if counts.all() else counts > 0
@@ -182,7 +185,6 @@ def simulate_rate(params: SystemParams, vars: DeploymentVars,
     bounds = np.minimum(np.arange(0, total + BLOCK_TERMINALS, BLOCK_TERMINALS), total)
     firsts = np.searchsorted(edges, bounds[:-1], side="right") - 1
     lasts = np.searchsorted(edges, bounds[1:])
-    has_empty = not counts.all()
     reduce = np.maximum if spec.mode == MC else np.add
     stats = np.zeros(spec.realizations)
     ws = Workspace()
@@ -195,17 +197,12 @@ def simulate_rate(params: SystemParams, vars: DeploymentVars,
         offsets[-1] = stop - start
         in_chunk = offsets[1:] - offsets[:-1]
         chunk = sample_gts(layout, region, rng, in_chunk, workspace=ws)
-        if has_empty and not in_chunk.all():
-            # reduceat needs strictly in-range starts, so the empty
-            # realizations, which add nothing, are left out
-            filled = np.flatnonzero(in_chunk)
-            rows = a + filled
-            stats[rows] = reduce(stats[rows], _partials(spec.mode, chunk, offsets[filled],
-                                                        counts[a:b], params, vars, ws))
-        else:
-            span = stats[a:b]
-            reduce(span, _partials(spec.mode, chunk, offsets[:-1], counts[a:b], params, vars,
-                                   ws), out=span)
+        # the first and last realizations hold terminals in the chunk, so
+        # every begin is in range; the empty ones between them get undefined
+        # statistics, which _values masks
+        span = stats[a:b]
+        reduce(span, _partials(spec.mode, chunk, offsets[:-1], counts[a:b], params, vars, ws),
+               out=span)
     del edges  # as large as stats, and no longer needed
     values = _values(spec.mode, stats, counts, params, vars)
     return SimResult(mode=spec.mode, empirical_mean_bps_hz=float(np.mean(values)),

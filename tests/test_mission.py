@@ -89,20 +89,22 @@ def test_layout_refuses_a_side_or_radius_that_is_not_finite(name, args):
         layout_centers(*args)
 
 
-@pytest.mark.parametrize("name, args", [
-    ("width_m", (1e300, 100.0, 10.0)),  # was numpy's "Maximum allowed size exceeded"
-    ("height_m", (100.0, 1e300, 10.0)),  # was a cast warning, then negative repeats
-    ("width_m", (sys.float_info.max, 100.0, 10.0)),
-    ("height_m", (100.0, sys.float_info.max, 10.0)),
+@pytest.mark.parametrize("args", [
+    (1e300, 100.0, 10.0),  # was numpy's "Maximum allowed size exceeded"
+    (100.0, 1e300, 10.0),  # was a cast warning, then negative repeats
+    (1e18, 100.0, 10.0),  # was a MemoryError, from 6.7e16 columns
+    (100.0, 1e18, 10.0),
+    (sys.float_info.max, 100.0, 10.0),
+    (100.0, sys.float_info.max, 10.0),
 ])
-def test_layout_refuses_a_side_with_more_cells_than_an_array_holds(name, args):
+def test_layout_refuses_sides_of_more_cells_than_fit_in_memory(args):
     # the counts stay floats until they are checked: no array, no warning
     tracemalloc.start()
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=f"^{name}: a .* rectangle needs more than "
-                                                 f"{mission._MAX_LAYOUT_CELLS} cells"):
+            with pytest.raises(ValueError, match="^width_m and height_m: a .* rectangle needs "
+                                                 f"more than {mission._MAX_LAYOUT_CELLS} cells"):
                 layout_centers(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
