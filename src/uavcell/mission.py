@@ -131,8 +131,8 @@ def _column_rows(width_m: float, height_m: float, rbar: float, max_cells: float 
     length, so a thin rectangle still overlaps.
 
     The cells are counted in floats, so that a huge or nan side makes no
-    array and cannot wrap: first the columns and a lower bound on their
-    rows, then the kept rows exactly.
+    large array and cannot wrap: first the columns and a lower bound on
+    their rows, then the kept rows exactly.
     """
     eps = 1e-9 * min(rbar, width_m, height_m)
     columns = np.ceil((width_m - eps + rbar) / (1.5 * rbar))

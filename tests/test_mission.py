@@ -94,6 +94,8 @@ def test_layout_refuses_a_side_or_radius_that_is_not_finite(name, args):
     (100.0, 1e300, 10.0),  # was a cast warning, then negative repeats
     (1e18, 100.0, 10.0),  # was a MemoryError, from 6.7e16 columns
     (100.0, 1e18, 10.0),
+    # columns that arrays hold, of 1,150 rows each: refused before the arrays
+    (15.0 * mission._MAX_LAYOUT_CELLS / 100, 20000.0, 10.0),
     (sys.float_info.max, 100.0, 10.0),
     (100.0, sys.float_info.max, 10.0),
 ])
@@ -208,6 +210,21 @@ def test_plan_cap_counts_the_cells_kept(params, width, cells):
     # where a lattice around the 153,250 m strip holds 4,100 cells
     vars = DeploymentVars(100.0, math.pi / 4)
     area = (width, 100.0)
+    if cells <= mission.MAX_PLAN_CELLS:
+        plan = assemble_plan(params, vars, "mac", 60.0, 20.0, area)
+        assert len(plan.centers) == cells
+    else:
+        assert len(layout_centers(*area, coverage_radius(100.0, math.pi / 4))) == cells
+        with pytest.raises(mission.PlanTooLarge, match="more than 4096 cells"):
+            assemble_plan(params, vars, "mac", 60.0, 20.0, area)
+
+
+@pytest.mark.parametrize("width, cells", [(18990.0, 4096), (19140.0, 4128)])
+def test_plan_cap_counts_the_rows_of_a_tall_rectangle(params, width, cells):
+    # 128 columns of about 31 rows of 100 m cells: the bound on the rows that
+    # is checked before any array is made refuses no plan of 4,096 cells
+    vars = DeploymentVars(100.0, math.pi / 4)
+    area = (width, 5400.0)
     if cells <= mission.MAX_PLAN_CELLS:
         plan = assemble_plan(params, vars, "mac", 60.0, 20.0, area)
         assert len(plan.centers) == cells
