@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 # exported name -> the submodule that defines it, imported on first access
 _LAZY = {
     **dict.fromkeys(("HEXAGON", "DISK", "CellLayout", "GtRealization", "coverage_radius",
-                     "make_layout", "hex_contains", "sample_gts"), "geometry"),
+                     "make_layout", "sample_gts"), "geometry"),
     **dict.fromkeys(("SimSpec", "SimResult", "simulate_rate"), "montecarlo"),
     **dict.fromkeys(("MissionPlan", "layout_centers", "plan_tour", "assemble_plan"), "mission"),
 }

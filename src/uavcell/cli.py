@@ -266,6 +266,14 @@ def _write_csv(path: Path, header, columns, seed=None):
             fh.write(rows(columns, ints, start, min(start + CSV_CHUNK_ROWS, len(columns[0]))))
 
 
+# Rows of one sweep (exits 2 above it, before any array is sized by N). A
+# sweep holds 16 B per row, its values and rates, beside one chunk's table
+# and text: a fresh 10**7-row sweep took 2.2 to 3.4 s in each mode and
+# variable, peaked at 184 MB RSS and wrote a 376 to 389 MB CSV, on a 2-core
+# x86 VM.
+MAX_SWEEP_ROWS = 10**7
+
+
 def _parse_range(text: str):
     parts = text.split(":")
     if len(parts) != 3:
@@ -279,6 +287,9 @@ def _parse_range(text: str):
         raise ConfigError(f"range: LO and HI must be finite, got {text!r}")
     if n < 2:
         raise ConfigError(f"range: need at least 2 points, got {n}")
+    if n > MAX_SWEEP_ROWS:
+        raise ConfigError(f"--range: {n:,} rows exceed the sweep cap of {MAX_SWEEP_ROWS:,}; "
+                          "lower N")
     if not lo < hi:
         raise ConfigError(f"range: need LO < HI, got {text!r}")
     return lo, hi, n
@@ -291,17 +302,22 @@ def _midpoint(lo: float, hi: float) -> float:
     return lo / 2 + hi / 2
 
 
-def _sim_spec(args, seed: int, params, points) -> SimSpec:
-    """The simulation of each operating point in points, within the
-    realization cap and the terminal budget of the whole command."""
+def _check_realizations(args, n_points: int):
+    """Refuses --realizations below 1, or above the realization cap of the
+    whole command over n_points operating points; checked before any work."""
     if args.realizations < 1:
         raise ConfigError(f"--realizations: need at least 1, got {args.realizations}")
-    realizations = args.realizations * len(points)
+    realizations = args.realizations * n_points
     if realizations > MAX_SIM_REALIZATIONS:
         raise ConfigError(
             f"--realizations: {realizations:,} realizations exceed the Monte Carlo cap of "
             f"{MAX_SIM_REALIZATIONS:,} per command (--realizations={args.realizations} at "
-            f"{len(points)} operating point(s)); lower --realizations")
+            f"{n_points} operating point(s)); lower --realizations")
+
+
+def _sim_spec(args, seed: int, params, points) -> SimSpec:
+    """The simulation of each operating point in points, within the terminal
+    budget of the whole command; _check_realizations has passed."""
     spec = SimSpec(mode=args.mode, realizations=args.realizations, seed=seed,
                    count_model=args.count_model)
     total = sum(expected_terminals(params, vars, spec) for vars in points)
@@ -374,6 +390,8 @@ def cmd_sweep(cfg: Config, args, seed: int) -> int:
             raise ConfigError(f"fixed-theta: must lie inside (0, pi/2), got {fixed}")
         rate_keys = "range/" + ("fixed-theta" if args.fixed_theta is not None
                                 else "theta_min_rad/theta_max_rad")
+    if args.with_sim:
+        _check_realizations(args, n)
 
     # every row lies in [LO, HI], the range checked above: the last one is
     # set to HI, as it may round past it
@@ -428,6 +446,7 @@ def cmd_simulate(cfg: Config, args, seed: int) -> int:
     theta = (args.theta if args.theta is not None
              else _midpoint(cfg.theta_min_rad, cfg.theta_max_rad))
     vars = DeploymentVars(altitude, theta)
+    _check_realizations(args, 1)
     spec = _sim_spec(args, seed, params, [vars])
     result = simulate_rate(params, vars, spec)
     # a subnormal closed form has too few digits to compare against, like 0

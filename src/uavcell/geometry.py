@@ -59,18 +59,6 @@ def make_layout(params: SystemParams, vars: DeploymentVars) -> CellLayout:
     )
 
 
-def hex_contains(xy, circumradius: float):
-    """True for points inside the regular hexagon (vertex on +x axis), boundary inclusive.
-    A circumradius that is not positive and finite raises ValueError."""
-    if not 0.0 < circumradius < math.inf:  # nan fails too
-        raise ValueError(f"circumradius must be positive and finite, got {circumradius}")
-    xy = np.asarray(xy, dtype=float)
-    x = np.abs(xy[..., 0])
-    y = np.abs(xy[..., 1])
-    inside = (y <= SQRT3 / 2 * circumradius) & (SQRT3 * x + y <= SQRT3 * circumradius)
-    return inside if inside.ndim else bool(inside)
-
-
 # unit edge vectors of the hexagon's three rhombi, 120 degrees apart and
 # the first on the +x vertex; rhombus k is spanned by rows k and k + 1
 _RHOMBUS_EDGES = np.array([[1.0, 0.0], [-0.5, SQRT3 / 2], [-0.5, -SQRT3 / 2], [1.0, 0.0]])

@@ -122,7 +122,7 @@ def _column_rows(width_m: float, height_m: float, rbar: float, max_cells: float 
 
     Column j sits at x = 1.5*rbar*j, its rows every sqrt(3)*rbar in y, odd
     columns half a row up; a hexagon has one vertex on the +x axis (as in
-    geometry.hex_contains). A cell is kept when its hexagon overlaps the
+    tests/hex_reference.py). A cell is kept when its hexagon overlaps the
     rectangle: its center lies in the rectangle grown by the hexagon, on a
     column's line the interval (-sqrt(3)/2*rbar, height + sqrt(3)/2*rbar) of
     y, narrowed past the right edge by the hexagon's corner, sqrt(3)*(x - width).

@@ -1,9 +1,11 @@
 """Deployment optimization over altitude and half-beamwidth.
 
 Altitude is settled by closed rules (the rate is monotone in H for the
-downlink modes and flat for the uplink), so only the beamwidth needs a
-numerical 1-D search: nested array scans, each a 257-point grid over the
-bracket around the previous scan's peak.
+downlink modes and flat for the uplink). So is the broadcast beamwidth: the
+bc rate falls strictly in theta as well, so its optimum is the box corner
+(h_min, theta_min). Only mc and mac need a numerical 1-D beamwidth search:
+nested array scans, each a 257-point grid over the bracket around the
+previous scan's peak.
 """
 from __future__ import annotations
 
@@ -12,8 +14,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from .params import SystemParams
-from .rates import MAC, MC, MODES, rate_value
+from .params import SystemParams, require_domain
+from .rates import BC, MAC, MC, MODES, rate_value
 
 SCAN_POINTS = 257
 _GRID = np.arange(SCAN_POINTS, dtype=float)
@@ -77,13 +79,17 @@ def search_1d(f, lo: float, hi: float, tol: float = 1e-4):
 
 def optimize(mode: str, params: SystemParams, h_range, theta_range,
              tol: float = 1e-4) -> OptResult:
-    """Altitude from the mode's closed rule, then a 1-D beamwidth search, in
-    the box h_range x theta_range, two (lo, hi) pairs.
+    """Altitude from the mode's closed rule, then the beamwidth, in the box
+    h_range x theta_range, two (lo, hi) pairs.
 
     The rules: the mc rate is non-decreasing in altitude, so H* = h_max; the
     bc rate is strictly decreasing, so H* = h_min; the mac rate does not
     depend on altitude, so h_min is reported and the result is flagged
-    h_indifferent."""
+    h_indifferent. The bc rate D(alpha / (theta^2 H^2), tan^2 theta) also
+    falls strictly in theta (D rises in its first argument and falls in its
+    second), so theta* = theta_min by rule: one rate evaluation, a one-row
+    trace, and tol has no effect. mc and mac take theta* from search_1d
+    with tol."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     h_min, h_max = h_range
@@ -91,8 +97,18 @@ def optimize(mode: str, params: SystemParams, h_range, theta_range,
         raise ValueError(f"altitude range must satisfy 0 < h_min <= h_max, got "
                          f"[{h_min}, {h_max}]")
     h_star = h_max if mode == MC else h_min
-    theta_star, f_star, (ts, vs) = search_1d(
-        lambda t: rate_value(mode, params, h_star, t), *theta_range, tol=tol)
+    if mode == BC:
+        theta_min, theta_max = theta_range
+        if not theta_min <= theta_max:  # as search_1d refuses it
+            raise ValueError(f"need lo <= hi, got [{theta_min}, {theta_max}]")
+        # the whole box lies in the model domain, as a scan over it would check
+        require_domain((), (theta_min, theta_max))
+        ts = np.array([theta_min], dtype=float)
+        vs = rate_value(mode, params, h_star, ts)
+        theta_star, f_star = float(ts[0]), float(vs[0])
+    else:
+        theta_star, f_star, (ts, vs) = search_1d(
+            lambda t: rate_value(mode, params, h_star, t), *theta_range, tol=tol)
     hs = np.empty(len(ts))
     hs.fill(h_star)
     return OptResult(mode=mode, h_star_m=h_star, theta_star_rad=theta_star,

@@ -71,12 +71,18 @@ def test_optimize_mac_report(cfg_path, tmp_path, capsys):
 
 
 def test_optimize_trace_csv(cfg_path, tmp_path, capsys):
-    assert run(cfg_path, tmp_path, "optimize", "--mode", "bc", "--csv") == 0
-    lines = (tmp_path / "optimize_bc_trace.csv").read_text().splitlines()
+    assert run(cfg_path, tmp_path, "optimize", "--mode", "mac", "--csv") == 0
+    lines = (tmp_path / "optimize_mac_trace.csv").read_text().splitlines()
     assert lines[0] == "h_m,theta_rad,value_bps_hz"
     assert len(lines) == 1 + 2 * SCAN_POINTS  # header, then two nested scans
     # no numpy scalar reprs may leak into artifacts
     assert "np.float64" not in "".join(lines)
+    # bc's beamwidth is its closed rule: the trace is the one point evaluated
+    assert run(cfg_path, tmp_path, "optimize", "--mode", "bc", "--csv") == 0
+    lines = (tmp_path / "optimize_bc_trace.csv").read_text().splitlines()
+    value = rate_value("bc", load_config(cfg_path).params, BASE["h_min_m"], BASE["theta_min_rad"])
+    assert lines == ["h_m,theta_rad,value_bps_hz",
+                     f"{BASE['h_min_m']!r},{BASE['theta_min_rad']!r},{value!r}"]
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
@@ -390,6 +396,37 @@ def test_sweep_range_validation(cfg_path, tmp_path, capsys):
                "--range", "0.5:2.0:4") == 2  # beyond pi/2
     err = capsys.readouterr().err
     assert "config error" in err
+
+
+@pytest.mark.parametrize("argv, err", [
+    # numpy's _ArrayMemoryError from np.arange once ended this one, exit 1
+    (("--var", "h", "--range", "1:2:1000000000000"),
+     "config error: --range: 1,000,000,000,000 rows exceed the sweep cap of 10,000,000; "
+     "lower N\n"),
+    (("--var", "theta", "--range", "0.1:1:3000000", "--with-sim", "--realizations", "1"),
+     "config error: --realizations: 3,000,000 realizations exceed the Monte Carlo cap of "
+     "1,000,000 per command (--realizations=1 at 3000000 operating point(s)); lower "
+     "--realizations\n"),
+], ids=["rows", "with-sim-realizations"])
+def test_oversized_sweeps_exit_2_before_any_work(cfg_path, tmp_path, capsys, monkeypatch,
+                                                 argv, err):
+    # neither evaluates a rate nor builds an operating point
+    monkeypatch.setattr(cli, "rate_value", None)
+    monkeypatch.setattr(cli, "DeploymentVars", None)
+    t0 = time.perf_counter()
+    assert run(cfg_path, tmp_path, "sweep", "--mode", "bc", *argv) == 2
+    assert time.perf_counter() - t0 < 0.1
+    assert capsys.readouterr() == ("", err)
+
+
+def test_sweep_row_cap_admits_its_own_count(cfg_path, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_SWEEP_ROWS", 5)
+    assert run(cfg_path, tmp_path, "sweep", "--mode", "bc", "--var", "h",
+               "--range", "50:500:5") == 0
+    assert parse_report(capsys.readouterr().out)["rows"] == "5"
+    assert run(cfg_path, tmp_path, "sweep", "--mode", "bc", "--var", "h",
+               "--range", "50:500:6") == 2
+    assert capsys.readouterr().err.startswith("config error: --range: 6 rows exceed ")
 
 
 @pytest.mark.parametrize("text", ["1:inf:3", "-inf:500:3", "nan:500:3", "100:nan:3"])
@@ -1007,9 +1044,11 @@ def test_one_system_params_per_command(cfg_path, tmp_path, capsys, monkeypatch):
 
 # Python frames entered in uavcell's own modules by one optimize command:
 # parse, load and check the config (15 numbers), two scans of the beamwidth
-# search, each one rate_value call, and the report. Upper bounds, so that a
-# wrapper layer added to this path fails here without any timing.
-OPTIMIZE_FRAME_BUDGET = {"mc": 53, "bc": 53, "mac": 53}
+# search (mc, mac) or the one point of bc's closed rule, each one rate_value
+# call, and the report. Upper bounds, so that a wrapper layer added to this
+# path fails here without any timing.
+OPTIMIZE_FRAME_BUDGET = {"mc": 53, "bc": 47, "mac": 53}
+OPTIMIZE_RATE_CALLS = {"mc": 2, "bc": 1, "mac": 2}
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -1030,7 +1069,7 @@ def test_optimize_call_budget(cfg_path, tmp_path, capsys, mode):
         finally:
             sys.setprofile(None)
         assert rc == 0
-        assert frames.count("rate_value") == 2
+        assert frames.count("rate_value") == OPTIMIZE_RATE_CALLS[mode]
         assert len(frames) <= OPTIMIZE_FRAME_BUDGET[mode], sorted(frames)
         counts.append(len(frames))
     assert counts[0] == counts[1]

@@ -7,8 +7,9 @@ import pytest
 from scipy import stats
 
 from conftest import RHO
-from uavcell import (DISK, HEXAGON, DeploymentVars, SimSpec, coverage_radius, hex_contains,
-                     make_layout, sample_gts)
+from hex_reference import hex_contains
+from uavcell import (DISK, HEXAGON, DeploymentVars, SimSpec, coverage_radius, make_layout,
+                     sample_gts)
 from uavcell.geometry import Workspace, draw_counts
 from uavcell.montecarlo import BLOCK_TERMINALS
 

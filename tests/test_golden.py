@@ -81,7 +81,7 @@ VARIANTS = {
 
 GOLDEN = {
     "optimize mc --csv": "d54385342b6bd981f207032cf01f36f3b23eb2c7b4f3912c69a38ea50c9bb84b",
-    "optimize bc --csv": "24a3f6e2032a949dfd5bcf220c64664e5f454f0381dadb454c8970e9ead936bb",
+    "optimize bc --csv": "348f84ff95c9ba851a1e93fcfdf50af1983186e4bb368fdafa7ac2b38668bac3",
     "optimize mac --csv": "5e0261c7b1ae4eac9dcdc9d43f62f5f49fecff4cc30bebb87c16431cd0400586",
     "sweep mc theta": "5791e130a06784fa5c16bd4d09dca161effe4d6a88fbec65cd0e8144a7d54068",
     "sweep mc h": "51afa5c0de99be60484406cac4c6e07b854fb0b20e25c4d0b55f8f8675d665c0",

@@ -11,7 +11,7 @@ from scipy.optimize import minimize_scalar
 import grid_reference
 from conftest import make_params
 from grid_reference import optimize_2d_grid
-from uavcell import optimize, rate_value, search_1d
+from uavcell import dbm_to_watts, optimize, rate_value, search_1d
 from uavcell.optimize import SCAN_POINTS
 
 
@@ -142,9 +142,56 @@ def test_optimize_mc_picks_max_altitude(params, box):
 def test_optimize_bc_picks_min_altitude(params, box):
     (h_min, _), (theta_min, _) = box
     res = optimize("bc", params, *box)
-    assert res.h_star_m == h_min
-    # broadcast rate decays with both knobs over this box
-    assert res.theta_star_rad == pytest.approx(theta_min, abs=1e-3)
+    value = rate_value("bc", params, h_min, theta_min)
+    assert (res.h_star_m, res.theta_star_rad, res.objective_bps_hz) == (h_min, theta_min, value)
+    assert [column.tolist() for column in res.trace] == [[h_min], [theta_min], [value]]
+    # tol does not enter the closed rule
+    assert optimize("bc", params, *box, tol=1e-300) == res
+
+
+def test_optimize_bc_refuses_a_reversed_beamwidth_range(params):
+    with pytest.raises(ValueError, match="lo <= hi"):
+        optimize("bc", params, (50.0, 100.0), (0.5, 0.4))
+
+
+# (downlink dBm, altitude range, beamwidth range): the README box; perfbench's
+# bc plan box at the ends of its drawn downlink power, 8 and 12 dBm; a quiet
+# and a loud link over the whole beamwidth range from 1e-4 rad
+BC_BOXES = [(10.0, (50.0, 500.0), (0.05, 1.5)),
+            (8.0, (300.0, 600.0), (0.5, 1.2)),
+            (12.0, (300.0, 600.0), (0.5, 1.2)),
+            (-40.0, (1.0, 1.0e4), (1e-4, 1.5707)),
+            (60.0, (1.0, 1.0e4), (1e-4, 1.5707))]
+
+
+@pytest.mark.parametrize("p_dbm, h_range, theta_range", BC_BOXES)
+def test_bc_rate_falls_strictly_in_beamwidth(p_dbm, h_range, theta_range):
+    # the premise of optimize's bc rule theta* = theta_min, in the style of
+    # acceptance criterion 3: even and log-spaced grids over the box
+    params = make_params(p_downlink_w=dbm_to_watts(p_dbm))
+    thetas = np.union1d(np.linspace(*theta_range, 1000), np.geomspace(*theta_range, 1000))
+    for h in np.geomspace(*h_range, 20):
+        vals = rate_value("bc", params, h, thetas)
+        assert np.diff(vals).max() < 0.0, h
+
+
+def test_optimize_bc_equals_the_search_over_its_kernel():
+    # the closed rule against search_1d over the bc rate, bit for bit at the
+    # default tol, on seeded link budgets and boxes with theta_min >= 1e-4;
+    # one box in ten is a single beamwidth
+    rng = np.random.default_rng(31)
+    for _ in range(400):
+        params = make_params(p_downlink_w=dbm_to_watts(rng.uniform(-60.0, 60.0)),
+                             beta0=10.0 ** rng.uniform(-7.0, -2.0))
+        h_min = 10.0 ** rng.uniform(0.0, 4.0)
+        theta_min = 10.0 ** rng.uniform(-4.0, math.log10(1.5))
+        theta_max = theta_min if rng.uniform() < 0.1 else rng.uniform(theta_min, 1.5707)
+        box = (h_min, h_min * 10.0 ** rng.uniform(0.0, 2.0)), (theta_min, theta_max)
+        res = optimize("bc", params, *box)
+        theta, value, _ = search_1d(lambda t: rate_value("bc", params, h_min, t),
+                                    theta_min, theta_max)
+        assert (res.h_star_m, res.theta_star_rad, res.objective_bps_hz) == (h_min, theta, value)
+        assert theta == theta_min
 
 
 def test_optimize_mac_beamwidth(params, box):

@@ -25,7 +25,7 @@ DEFINED_IN = {
     "rates": ("MC", "BC", "MAC", "MODES", "rate_value", "cell_edge_rate_mc"),
     "optimize": ("OptResult", "search_1d", "optimize"),
     "geometry": ("HEXAGON", "DISK", "CellLayout", "GtRealization", "coverage_radius",
-                 "make_layout", "hex_contains", "sample_gts"),
+                 "make_layout", "sample_gts"),
     "montecarlo": ("SimSpec", "SimResult", "simulate_rate"),
     "mission": ("MissionPlan", "layout_centers", "plan_tour", "assemble_plan"),
 }

@@ -139,9 +139,9 @@ def test_plan_spans_count_cells(tmp_path):
     assert math.isfinite(tour_s) and tour_s > 0.0
 
 
-def test_optimize_records_two_rate_scans(tmp_path):
-    """optimize.evals counts the rate_value spans under each optimize span:
-    the nested beamwidth search makes two array calls at the default tol."""
+def _optimize_rate_calls(tmp_path, mode):
+    """The rate_value spans under the one optimize span of a traced optimize
+    command, and optimize.evals as perfbench computes it."""
     spans = _load_spans()
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(CONFIG))
@@ -150,11 +150,22 @@ def test_optimize_records_two_rate_scans(tmp_path):
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["--config", str(config), "--out", str(tmp_path),
-                             "optimize", "--mode", "mac"]) == 0
+                             "optimize", "--mode", mode]) == 0
     finally:
         recorder.uninstall()
     name = np.array(recorder.name)
     (opt,) = np.flatnonzero(name == recorder.names.index("optimize.optimize"))
-    rates = name == recorder.names.index("rates.rate_value.mac")
-    assert np.count_nonzero(rates & (np.array(recorder.parent) == opt)) == 2
-    assert spans.Analysis(recorder).children_per("optimize.optimize", "rates.rate_value") == 2.0
+    rates = name == recorder.names.index(f"rates.rate_value.{mode}")
+    return (np.count_nonzero(rates & (np.array(recorder.parent) == opt)),
+            spans.Analysis(recorder).children_per("optimize.optimize", "rates.rate_value"))
+
+
+def test_optimize_records_two_rate_scans(tmp_path):
+    """optimize.evals counts the rate_value spans under each optimize span:
+    the nested beamwidth search makes two array calls at the default tol."""
+    assert _optimize_rate_calls(tmp_path, "mac") == (2, 2.0)
+
+
+def test_optimize_records_one_rate_call_for_bc(tmp_path):
+    """bc's beamwidth is its closed rule: one rate_value call, still traced."""
+    assert _optimize_rate_calls(tmp_path, "bc") == (1, 1.0)
