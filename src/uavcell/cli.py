@@ -315,26 +315,28 @@ def _check_realizations(args, n_points: int):
             f"{n_points} operating point(s)); lower --realizations")
 
 
-def _sim_spec(args, seed: int, params, points) -> SimSpec:
-    """The simulation of each operating point in points, within the terminal
-    budget of the whole command; _check_realizations has passed."""
+def _sim_spec(args, seed: int, params, h, theta) -> SimSpec:
+    """The simulation of each operating point (h[i], theta[i]), either a
+    float or an array, within the command's terminal budget, checked on the
+    arrays before any per-point object; _check_realizations has passed."""
     spec = SimSpec(mode=args.mode, realizations=args.realizations, seed=seed,
                    count_model=args.count_model)
-    total = sum(expected_terminals(params, vars, spec) for vars in points)
+    means = np.atleast_1d(expected_terminals(params, h, theta, spec._replace(realizations=1)))
+    total = spec.realizations * float(np.sum(means))
     if not total <= MAX_SIM_TERMINALS:
         raise ConfigError(
             f"--realizations/density_per_m2: {total:.3g} expected terminals exceed the "
             f"Monte Carlo budget of {MAX_SIM_TERMINALS:,} (--realizations="
             f"{args.realizations}, density_per_m2={params.density_per_m2}); lower either, "
             "or simulate smaller cells")
-    if spec.count_model == "fixed":  # each realization draws round(mean) terminals
-        one = spec._replace(realizations=1)
-        for vars in points:
-            if round(mean := expected_terminals(params, vars, one)) == 0:
-                raise ConfigError(
-                    f"--count-model: the fixed count rounds {mean:.3g} expected terminals to 0 "
-                    f"at altitude {vars.altitude_m}, half-beamwidth {vars.half_beamwidth_rad}, "
-                    "so nothing would be simulated; use --count-model poisson or a larger cell")
+    # each realization draws round(mean) terminals, rounded half to even as rint does
+    if spec.count_model == "fixed" and len(zero := np.flatnonzero(np.rint(means) == 0)):
+        i = zero[0]
+        h, theta = (np.broadcast_to(a, means.shape)[i].item() for a in (h, theta))
+        raise ConfigError(
+            f"--count-model: the fixed count rounds {means[i]:.3g} expected terminals to 0 "
+            f"at altitude {h}, half-beamwidth {theta}, "
+            "so nothing would be simulated; use --count-model poisson or a larger cell")
     return spec
 
 
@@ -398,6 +400,8 @@ def cmd_sweep(cfg: Config, args, seed: int) -> int:
     values = np.arange(n) * ((hi - lo) / (n - 1)) + lo
     values[-1] = hi
     h, theta = (fixed, values) if args.var == "theta" else (values, fixed)
+    if args.with_sim:
+        spec = _sim_spec(args, seed, params, h, theta)
     # CSV_CHUNK_ROWS rows at a time, so that the kernel's temporaries do not
     # grow with the sweep
     rate = np.empty(n)
@@ -412,7 +416,6 @@ def cmd_sweep(cfg: Config, args, seed: int) -> int:
     if args.with_sim:
         points = [DeploymentVars(*point) for point in
                   zip(np.broadcast_to(h, n).tolist(), np.broadcast_to(theta, n).tolist())]
-        spec = _sim_spec(args, seed, params, points)
         columns.append([simulate_rate(params, point, spec).empirical_mean_bps_hz
                         for point in points])
 
@@ -447,7 +450,7 @@ def cmd_simulate(cfg: Config, args, seed: int) -> int:
              else _midpoint(cfg.theta_min_rad, cfg.theta_max_rad))
     vars = DeploymentVars(altitude, theta)
     _check_realizations(args, 1)
-    spec = _sim_spec(args, seed, params, [vars])
+    spec = _sim_spec(args, seed, params, altitude, theta)
     result = simulate_rate(params, vars, spec)
     # a subnormal closed form has too few digits to compare against, like 0
     if result.analytic_bps_hz < sys.float_info.min:

@@ -16,12 +16,13 @@ two-chain tour for a strip of at most three y values. The order is one
 integer index array over the cells, computed from the ends of the column
 intervals, with no Python object per cell. plan_tour keeps nearest neighbor
 plus 2-opt for arbitrary point sets. _column_rows decides the kept cells,
-one interval of rows per column, for the layout and the cap.
+one interval of rows per column, and counts them once against
+MAX_PLAN_CELLS, in floats and before any per-cell array: a layout of more
+cells raises PlanTooLarge, for a plan and a library call alike.
 """
 from __future__ import annotations
 
 import math
-import os
 import sys
 from collections import namedtuple
 
@@ -33,13 +34,12 @@ from .rates import MC, MODES, cell_edge_rate_mc
 
 HOVER_DOMINANCE_MIN = 10.0
 
-# assemble_plan refuses a plan of more cells: a box whose optimum shrinks cells
-# to a few meters (bc flies low and narrow) is a wrong box, not a mission
-MAX_PLAN_CELLS = 4096
-
-# cells whose layout, about 81 B each at its peak, fits in physical memory;
-# layout_centers refuses more
-_MAX_LAYOUT_CELLS = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 81
+# cells of one layout or plan (PlanTooLarge above it, counted before any
+# per-cell array), within the 3.4 s and 184 MB RSS of a 10**7-row sweep
+# (cli.MAX_SWEEP_ROWS): a fresh `plan --mode bc` of 998,820 cells of 2.5 m,
+# a 4,028 m square, took 0.85 to 1.18 s, peaked at 117 MB RSS and wrote a
+# 68 MB CSV, on a 2-core x86 VM
+MAX_PLAN_CELLS = 10**6
 
 
 class PlanTooLarge(ValueError):
@@ -116,9 +116,9 @@ def _strip_tour(y_rank: np.ndarray, cx: np.ndarray, cy: np.ndarray) -> np.ndarra
     return order(min(range(y_rank.min() + 1, y_rank.max() + 1), key=length))
 
 
-def _column_rows(width_m: float, height_m: float, rbar: float, max_cells: float = math.inf):
-    """Kept lattice columns j and each one's first and last row k, as floats,
-    or None when they hold more than max_cells cells.
+def _column_rows(width_m: float, height_m: float, rbar: float):
+    """Kept lattice columns j and each one's first and last row k, as floats.
+    PlanTooLarge when they hold more than MAX_PLAN_CELLS cells.
 
     Column j sits at x = 1.5*rbar*j, its rows every sqrt(3)*rbar in y, odd
     columns half a row up; a hexagon has one vertex on the +x axis (as in
@@ -138,33 +138,27 @@ def _column_rows(width_m: float, height_m: float, rbar: float, max_cells: float 
     columns = np.ceil((width_m - eps + rbar) / (1.5 * rbar))
     # every column but the last lies over the rectangle, whose height it
     # spans with at least height / (sqrt(3)*rbar) - 1 rows
-    if not (columns <= max_cells + 1  # the last may be empty; nan fails too
-            and (columns - 1.0) * (height_m / (SQRT3 * rbar) - 1.0) <= max_cells):
-        return None
-    j = np.arange(columns)
-    half = SQRT3 / 2 * rbar
-    cut = np.maximum(SQRT3 * (1.5 * rbar * j - width_m) - half + eps, 0.0)
-    offset = (j % 2) * half
-    first = np.floor((eps - half + cut - offset) / (SQRT3 * rbar)) + 1.0
-    last = np.ceil((height_m + half - eps - cut - offset) / (SQRT3 * rbar)) - 1.0
-    kept = first <= last
-    j, first, last = j[kept], first[kept], last[kept]
-    if not np.sum(last - first + 1.0) <= max_cells:
-        return None
-    return j, first, last
+    if (columns <= MAX_PLAN_CELLS + 1  # the last may be empty; nan fails too
+            and (columns - 1.0) * (height_m / (SQRT3 * rbar) - 1.0) <= MAX_PLAN_CELLS):
+        j = np.arange(columns)
+        half = SQRT3 / 2 * rbar
+        cut = np.maximum(SQRT3 * (1.5 * rbar * j - width_m) - half + eps, 0.0)
+        offset = (j % 2) * half
+        first = np.floor((eps - half + cut - offset) / (SQRT3 * rbar)) + 1.0
+        last = np.ceil((height_m + half - eps - cut - offset) / (SQRT3 * rbar)) - 1.0
+        kept = first <= last
+        j, first, last = j[kept], first[kept], last[kept]
+        if np.sum(last - first + 1.0) <= MAX_PLAN_CELLS:
+            return j, first, last
+    raise PlanTooLarge(f"a {width_m} m x {height_m} m rectangle needs more than "
+                       f"{MAX_PLAN_CELLS:,} cells of radius {rbar:.3g} m")
 
 
 def _lattice(width_m: float, height_m: float, rbar: float):
     """(cx, cy, y_rank, ends) of the kept cells, ids 0..n-1 column-major:
     bottom to top, column after column. y_rank is y in half rows, and column
-    c ends before id ends[c]. The per-cell rows and columns die here. Sides
-    of more cells than fit in memory raise ValueError naming them."""
-    rows = _column_rows(width_m, height_m, rbar, _MAX_LAYOUT_CELLS)
-    if rows is None:
-        raise ValueError(f"width_m and height_m: a {width_m} m x {height_m} m rectangle needs "
-                         f"more than {_MAX_LAYOUT_CELLS} cells of radius {rbar} m")
-    j, first, last = rows
-    del rows  # each per-column array dies when it is last used
+    c ends before id ends[c]. The per-cell rows and columns die here."""
+    j, first, last = _column_rows(width_m, height_m, rbar)
     counts = (last - first + 1.0).astype(int)
     ends = np.cumsum(counts)
     j = np.repeat(j.astype(int), counts)
@@ -184,8 +178,8 @@ def layout_centers(width_m: float, height_m: float, circumradius_m: float) -> np
     that is intended. The order is an index array built from the column
     interval ends: a single column bottom to top, _strip_tour for at most
     three y values, _serpentine otherwise. A side or radius that is not
-    positive and finite raises ValueError naming it, and so do sides of
-    more cells than fit in memory.
+    positive and finite raises ValueError naming it, and sides of more
+    than MAX_PLAN_CELLS cells raise PlanTooLarge.
     """
     for name, value in (("width_m", width_m), ("height_m", height_m),
                         ("circumradius_m", circumradius_m)):
@@ -300,7 +294,7 @@ def assemble_plan(params: SystemParams, vars: DeploymentVars, mode: str,
 
     per_cell_payload is the multicast file size in bits for mc, or the
     per-cell service period in seconds for bc/mac. Raises PlanTooLarge
-    before laying out more than MAX_PLAN_CELLS cells.
+    from layout_centers before laying out more than MAX_PLAN_CELLS cells.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -308,9 +302,6 @@ def assemble_plan(params: SystemParams, vars: DeploymentVars, mode: str,
         raise ValueError(f"per-cell payload must be > 0, got {per_cell_payload}")
     width_m, height_m = area
     rbar = coverage_radius(vars.altitude_m, vars.half_beamwidth_rad)
-    if _column_rows(width_m, height_m, rbar, MAX_PLAN_CELLS) is None:
-        raise PlanTooLarge(f"a {width_m} m x {height_m} m area needs more than "
-                           f"{MAX_PLAN_CELLS} cells of radius {rbar:.3g} m")
     centers = layout_centers(width_m, height_m, rbar)
     depot = (0.0, 0.0)  # rectangle corner nearest the origin
     base = plan_tour(centers, depot, v_max, ordered=True)

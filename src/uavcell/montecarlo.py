@@ -32,7 +32,7 @@ import numpy as np
 # coverage_radius and cell_edge_rate_mc are unused; perfbench/spans.py wraps them here
 from .geometry import (DISK, HEXAGON, CellLayout, GtRealization, Workspace, coverage_radius,
                        draw_counts, make_layout, sample_gts)
-from .params import DeploymentVars, SystemParams
+from .params import SQRT3, DeploymentVars, SystemParams
 from .rates import BC, MAC, MC, MODES, LN2, cell_edge_rate_mc, rate_value
 
 _REGION_FOR_MODE = {MC: HEXAGON, BC: DISK, MAC: DISK}
@@ -105,10 +105,14 @@ def _mean_count(layout: CellLayout, region: str) -> float:
     return layout.mean_gts_hex if region == HEXAGON else layout.mean_gts_disk
 
 
-def expected_terminals(params: SystemParams, vars: DeploymentVars, spec: SimSpec) -> float:
-    """Terminals that simulate_rate(params, vars, spec) is expected to draw."""
-    return spec.realizations * _mean_count(make_layout(params, vars),
-                                           _REGION_FOR_MODE[spec.mode])
+def expected_terminals(params: SystemParams, altitude_m, half_beamwidth_rad, spec: SimSpec):
+    """Terminals that simulate_rate is expected to draw at each point of
+    altitude_m and half_beamwidth_rad, floats or arrays: make_layout's mean
+    count in numpy arithmetic, inf for a cell too large for a float."""
+    with np.errstate(over="ignore"):
+        rbar = altitude_m * np.tan(half_beamwidth_rad)
+        area = (1.5 * SQRT3 if _REGION_FOR_MODE[spec.mode] == HEXAGON else math.pi) * (rbar * rbar)
+        return spec.realizations * (params.density_per_m2 * area)
 
 
 def _partials(mode: str, chunk: GtRealization, begins: np.ndarray, full_counts: np.ndarray,

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uavcell import DeploymentVars, SimSpec, SystemParams, cli, montecarlo
+from uavcell import SimSpec, SystemParams, cli, montecarlo
 from uavcell.config import load_config
 from uavcell.optimize import SCAN_POINTS
 from uavcell.rates import MODES, rate_value
@@ -400,21 +400,29 @@ def test_sweep_range_validation(cfg_path, tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, err", [
     # numpy's _ArrayMemoryError from np.arange once ended this one, exit 1
-    (("--var", "h", "--range", "1:2:1000000000000"),
+    (("--mode", "bc", "--var", "h", "--range", "1:2:1000000000000"),
      "config error: --range: 1,000,000,000,000 rows exceed the sweep cap of 10,000,000; "
      "lower N\n"),
-    (("--var", "theta", "--range", "0.1:1:3000000", "--with-sim", "--realizations", "1"),
+    (("--mode", "bc", "--var", "theta", "--range", "0.1:1:3000000", "--with-sim",
+      "--realizations", "1"),
      "config error: --realizations: 3,000,000 realizations exceed the Monte Carlo cap of "
      "1,000,000 per command (--realizations=1 at 3000000 operating point(s)); lower "
      "--realizations\n"),
-], ids=["rows", "with-sim-realizations"])
+    # within the realization cap, but the hexagons expect 1.15e9 terminals,
+    # counted on the sweep's arrays (once after every row: 4.2 s, 198 MB)
+    (("--mode", "mc", "--var", "h", "--range", "50:500:1000000", "--with-sim",
+      "--realizations", "1"),
+     "config error: --realizations/density_per_m2: 1.15e+09 expected terminals exceed the "
+     "Monte Carlo budget of 100,000,000 (--realizations=1, density_per_m2=0.005); lower "
+     "either, or simulate smaller cells\n"),
+], ids=["rows", "with-sim-realizations", "with-sim-terminals"])
 def test_oversized_sweeps_exit_2_before_any_work(cfg_path, tmp_path, capsys, monkeypatch,
                                                  argv, err):
     # neither evaluates a rate nor builds an operating point
     monkeypatch.setattr(cli, "rate_value", None)
     monkeypatch.setattr(cli, "DeploymentVars", None)
     t0 = time.perf_counter()
-    assert run(cfg_path, tmp_path, "sweep", "--mode", "bc", *argv) == 2
+    assert run(cfg_path, tmp_path, "sweep", *argv) == 2
     assert time.perf_counter() - t0 < 0.1
     assert capsys.readouterr() == ("", err)
 
@@ -521,7 +529,7 @@ def test_terminal_budget_counts_the_whole_command(cfg_path, tmp_path, capsys, mo
     # about 1,500 expected disk terminals per realization at H=300, theta=0.8;
     # a sweep adds up its rows
     params = load_config(cfg_path).params
-    per_row = montecarlo.expected_terminals(params, DeploymentVars(300.0, 0.8),
+    per_row = montecarlo.expected_terminals(params, 300.0, 0.8,
                                             SimSpec(mode="bc", realizations=5))
     monkeypatch.setattr(cli, "MAX_SIM_TERMINALS", int(rows * per_row * 1.01))
     assert run(cfg_path, tmp_path, *argv, "--realizations", "5") in (0, 3)
@@ -871,24 +879,43 @@ def test_negative_seed_flag_exits_2(cfg_path, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: --seed: ")
 
 
-def test_plan_refuses_absurd_cell_count(cfg_path, tmp_path, capsys):
-    # the bc optimum shrinks cells to a few meters; planning 10^5 of them
-    # is a config problem, not a tour to grind through
-    assert run(cfg_path, tmp_path, "plan", "--mode", "bc") == 2
-    err = capsys.readouterr().err
-    assert "cells" in err and "config error" in err
+def test_plan_refuses_absurd_cell_count(tmp_path, capsys):
+    # the bc optimum's 2.5 m cells over a 10 km square: 6.2e6 cells, past
+    # the cap, refused from the float count before any layout array
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(dict(BASE, area_width_m=1e4, area_height_m=1e4)))
+    t0 = time.perf_counter()
+    tracemalloc.start()
+    try:
+        assert run(path, tmp_path, "plan", "--mode", "bc") == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 0.1
+    assert peak < 100_000
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: area_width_m/area_height_m: a 10000.0 m x "
+                                   "10000.0 m rectangle needs more than 1,000,000 cells ")
+    assert captured.err.count("area_width_m/area_height_m") == 1
+    assert captured.out == "" and not (tmp_path / "plan_bc.csv").exists()
+
+
+def test_readme_bc_plan_is_admitted(cfg_path, tmp_path, capsys):
+    # 49,714 cells of 2.5 m, once refused by a 4,096-cell cap
+    assert run(cfg_path, tmp_path, "plan", "--mode", "bc") == 0
+    assert parse_report(capsys.readouterr().out)["n_cells"] == "49714"
 
 
 @pytest.mark.parametrize("width, height", [
-    pytest.param(1e9, 1e-3, id="1000000000.0"),
+    pytest.param(1e11, 1e-3, id="100000000000.0"),
     pytest.param(1e12, 1e-3, id="1000000000000.0"),
     pytest.param(1.7976931348623157e308, 1e-3, id="1.7976931348623157e+308"),
     pytest.param(1e-3, 1e300, id="tall"),
 ])
 def test_plan_cap_counts_the_lattice_of_a_strip(tmp_path, capsys, width, height):
     # a 1 mm strip has almost no area, but it needs a cell per 10.6 km of
-    # width, or per 12.2 km of height, at the mc optimum; the longest would
-    # overflow a count
+    # width, or per 12.2 km of height, at the mc optimum: 9.4e6 cells or
+    # more, past the cap; the longest would overflow a count
     path = tmp_path / "strip.json"
     path.write_text(json.dumps(dict(BASE, area_width_m=width, area_height_m=height)))
     assert run(path, tmp_path, "plan", "--mode", "mc") == 2

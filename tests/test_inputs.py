@@ -7,6 +7,11 @@ stderr and reports nothing; any other run reports, and writes to its CSV,
 only finite numbers (or n/a). The Monte Carlo commands run 3 realizations
 each: a large density or cell exits 2 at the terminal budget
 (montecarlo.MAX_SIM_TERMINALS) instead of drawing without bound.
+
+A second property draws argv past the caps: huge sweep rows, realizations
+and area sides, beside config keys near the float limits. Every command
+exits 0, 2 or 3 and reports only finite numbers, and one past a cap exits
+2 in well under 0.1 s.
 """
 import contextlib
 import csv
@@ -14,13 +19,14 @@ import io
 import json
 import math
 import re
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from uavcell import cli
-from uavcell.rates import MODES
+from uavcell.rates import BC, MODES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 CONFIG = json.loads(re.search(r"```json\n(.*?)```", README.read_text(), re.S).group(1))
@@ -98,3 +104,58 @@ def test_one_key_any_json_value(work_dir, key, value, mode, var):
                 for row in csv.reader(fh):
                     for cell in row:
                         _assert_finite(cell, (*where, csv_path))
+
+
+# counts inside a cap are kept small, so that an admitted command runs in
+# milliseconds; counts past it reach far beyond any array
+ROWS = st.one_of(st.integers(2, 20), st.integers(cli.MAX_SWEEP_ROWS + 1, 10**30))
+REALIZATIONS = st.one_of(st.integers(1, 5),
+                         st.integers(cli.MAX_SIM_REALIZATIONS + 1, 10**30))
+SIDES = st.one_of(st.floats(1.0, 300.0), st.floats(1e12, 1.7976931348623157e308))
+NEAR_LIMITS = st.sampled_from([None, 5e-324, 1e-300, 1e300, 1.7976931348623157e308])
+
+
+@settings(max_examples=80, deadline=None)
+@given(command=st.sampled_from(["sweep", "sweep --with-sim", "simulate", "plan"]),
+       mode=st.sampled_from(MODES), var=st.sampled_from(sorted(SWEEPS)), rows=ROWS,
+       realizations=REALIZATIONS, width=SIDES, height=SIDES,
+       keys=st.fixed_dictionaries({key: NEAR_LIMITS for key in
+                                   ("density_per_m2", "h_max_m", "period_s")}))
+def test_huge_counts_exit_cleanly(work_dir, command, mode, var, rows, realizations, width,
+                                  height, keys):
+    cfg = dict(CONFIG, area_width_m=width, area_height_m=height,
+               **{key: value for key, value in keys.items() if value is not None})
+    path = work_dir / "huge.json"
+    path.write_text(json.dumps(cfg))
+    span = SWEEPS[var].rsplit(":", 1)[0]
+    argv = {"sweep": ("sweep", "--mode", mode, "--var", var, "--range", f"{span}:{rows}"),
+            "sweep --with-sim": ("sweep", "--mode", mode, "--var", var, "--range",
+                                 f"{span}:{rows}", "--with-sim", "--realizations",
+                                 str(realizations)),
+            "simulate": ("simulate", "--mode", mode, "--realizations", str(realizations)),
+            "plan": ("plan", "--mode", mode)}[command]
+    # bc plans 2.5 m cells at (h_min_m, theta_min_rad), which no drawn key moves
+    over_cap = (rows > cli.MAX_SWEEP_ROWS and command.startswith("sweep")
+                or realizations > cli.MAX_SIM_REALIZATIONS
+                and command in ("sweep --with-sim", "simulate")
+                or command == "plan" and mode == BC and max(width, height) >= 1e12)
+
+    def run():
+        out, err = io.StringIO(), io.StringIO()
+        t0 = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["--config", str(path), "--out", str(work_dir), *argv])
+        return code, out, err, time.perf_counter() - t0
+
+    code, out, err, elapsed = run()
+    where = (cfg, argv)
+    assert code in (0, 2, 3), where
+    if over_cap:
+        if elapsed >= 0.1:  # the host may stall one run; a slow refusal is slow twice
+            elapsed = min(elapsed, run()[3])
+        assert code == 2 and elapsed < 0.1, (elapsed, where)
+    if code == 2:
+        assert err.getvalue().startswith("config error: ") and out.getvalue() == "", where
+    for line in out.getvalue().splitlines():
+        name, _, text = line.partition("=")
+        _assert_finite(text, (*where, name))

@@ -95,18 +95,19 @@ def test_layout_refuses_a_side_or_radius_that_is_not_finite(name, args):
     (1e18, 100.0, 10.0),  # was a MemoryError, from 6.7e16 columns
     (100.0, 1e18, 10.0),
     # columns that arrays hold, of 1,150 rows each: refused before the arrays
-    (15.0 * mission._MAX_LAYOUT_CELLS / 100, 20000.0, 10.0),
+    (15.0 * mission.MAX_PLAN_CELLS / 100, 20000.0, 10.0),
     (sys.float_info.max, 100.0, 10.0),
     (100.0, sys.float_info.max, 10.0),
 ])
 def test_layout_refuses_sides_of_more_cells_than_fit_in_memory(args):
-    # the counts stay floats until they are checked: no array, no warning
+    # the counts stay floats until they are checked against the one cap:
+    # no array, no warning
     tracemalloc.start()
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="^width_m and height_m: a .* rectangle needs "
-                                                 f"more than {mission._MAX_LAYOUT_CELLS} cells"):
+            with pytest.raises(mission.PlanTooLarge, match="^a .* rectangle needs more than "
+                                                           f"{mission.MAX_PLAN_CELLS:,} cells"):
                 layout_centers(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -203,35 +204,55 @@ def test_single_cell_plan_dominance_is_infinite(params):
     assert math.isinf(plan.hover_dominance)
 
 
-@pytest.mark.parametrize("width, cells", [(153100.0, 1533), (153250.0, 1535),
-                                          (409425.0, 4096), (409450.0, 4097)])
-def test_plan_cap_counts_the_cells_kept(params, width, cells):
-    # 100 m cells over a 100 m high rectangle: 1.5 cells per 150 m column,
-    # where a lattice around the 153,250 m strip holds 4,100 cells
+def _plan_at_cap(params, monkeypatch, area, cells, cap):
+    """Plans 100 m mac cells over area with the cell cap set to cap: the
+    plan keeps cells cells when they fit, and is refused otherwise."""
     vars = DeploymentVars(100.0, math.pi / 4)
-    area = (width, 100.0)
-    if cells <= mission.MAX_PLAN_CELLS:
+    assert len(layout_centers(*area, coverage_radius(*vars))) == cells
+    monkeypatch.setattr(mission, "MAX_PLAN_CELLS", cap)
+    if cells <= cap:
         plan = assemble_plan(params, vars, "mac", 60.0, 20.0, area)
         assert len(plan.centers) == cells
     else:
-        assert len(layout_centers(*area, coverage_radius(100.0, math.pi / 4))) == cells
-        with pytest.raises(mission.PlanTooLarge, match="more than 4096 cells"):
+        with pytest.raises(mission.PlanTooLarge, match=f"more than {cap:,} cells"):
             assemble_plan(params, vars, "mac", 60.0, 20.0, area)
+
+
+@pytest.mark.parametrize("width, cells", [(153100.0, 1533), (153250.0, 1535),
+                                          (409425.0, 4096), (409450.0, 4097)])
+def test_plan_cap_counts_the_cells_kept(params, monkeypatch, width, cells):
+    # 100 m cells over a 100 m high rectangle: 1.5 cells per 150 m column,
+    # where a lattice around the 153,250 m strip holds 4,100 cells. The cap
+    # is set to 4,096 to keep the layouts small
+    _plan_at_cap(params, monkeypatch, (width, 100.0), cells, 4096)
 
 
 @pytest.mark.parametrize("width, cells", [(18990.0, 4096), (19140.0, 4128)])
-def test_plan_cap_counts_the_rows_of_a_tall_rectangle(params, width, cells):
+def test_plan_cap_counts_the_rows_of_a_tall_rectangle(params, monkeypatch, width, cells):
     # 128 columns of about 31 rows of 100 m cells: the bound on the rows that
     # is checked before any array is made refuses no plan of 4,096 cells
-    vars = DeploymentVars(100.0, math.pi / 4)
-    area = (width, 5400.0)
+    _plan_at_cap(params, monkeypatch, (width, 5400.0), cells, 4096)
+
+
+@pytest.mark.parametrize("width, cells", [(99999825.0, 1_000_000), (99999850.0, 1_000_001)])
+def test_plan_cap_counts_the_cells_at_the_real_cap(width, cells):
+    # the same strip at the real cap, counted without a layout
+    rbar = coverage_radius(100.0, math.pi / 4)
     if cells <= mission.MAX_PLAN_CELLS:
-        plan = assemble_plan(params, vars, "mac", 60.0, 20.0, area)
-        assert len(plan.centers) == cells
+        _, first, last = mission._column_rows(width, 100.0, rbar)
+        assert np.sum(last - first + 1.0) == cells
     else:
-        assert len(layout_centers(*area, coverage_radius(100.0, math.pi / 4))) == cells
-        with pytest.raises(mission.PlanTooLarge, match="more than 4096 cells"):
-            assemble_plan(params, vars, "mac", 60.0, 20.0, area)
+        with pytest.raises(mission.PlanTooLarge, match="more than 1,000,000 cells"):
+            mission._column_rows(width, 100.0, rbar)
+
+
+def test_plan_counts_its_cells_once(params, monkeypatch):
+    calls, column_rows = [], mission._column_rows
+    monkeypatch.setattr(mission, "_column_rows",
+                        lambda *args: calls.append(args) or column_rows(*args))
+    plan = assemble_plan(params, DeploymentVars(100.0, math.pi / 4), "mac", 60.0, 20.0,
+                         (1000.0, 800.0))
+    assert len(calls) == 1 and len(plan.centers) > 1
 
 
 @pytest.mark.parametrize("height", [1e15, 1e300, 1.7976931348623157e308])
@@ -241,7 +262,7 @@ def test_plan_cap_refuses_a_tall_strip_without_allocating(params, height):
     vars = DeploymentVars(100.0, math.pi / 4)
     tracemalloc.start()
     try:
-        with pytest.raises(mission.PlanTooLarge, match="more than 4096 cells"):
+        with pytest.raises(mission.PlanTooLarge, match="more than 1,000,000 cells"):
             assemble_plan(params, vars, "mac", 60.0, 20.0, (100.0, height))
         peak = tracemalloc.get_traced_memory()[1]
     finally:

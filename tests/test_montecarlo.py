@@ -303,3 +303,20 @@ def test_stderr_of_tiny_rates_does_not_underflow(mode):
     want = float(np.std(values * scale, ddof=1) / math.sqrt(len(values))) / scale
     assert res.empirical_stderr_bps_hz == pytest.approx(want, rel=1e-12)
     assert res.empirical_stderr_bps_hz > 0.0
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_expected_terminals_of_a_sweep_match_its_rows(params, mode):
+    # the CLI counts a sweep's budget on its arrays; the total is the sum of
+    # what simulate_rate draws per row, from make_layout's scalar arithmetic
+    rng = np.random.default_rng(32)
+    spec = SimSpec(mode=mode, realizations=7)
+    for _ in range(20):
+        h = rng.uniform(1.0, 1000.0, int(rng.integers(2, 500)))
+        theta = rng.uniform(0.01, 1.5, len(h))
+        layouts = [geometry.make_layout(params, DeploymentVars(*point))
+                   for point in zip(h.tolist(), theta.tolist())]
+        rows = [spec.realizations * (layout.mean_gts_hex if mode == "mc" else layout.mean_gts_disk)
+                for layout in layouts]
+        total = float(np.sum(montecarlo.expected_terminals(params, h, theta, spec)))
+        assert total == pytest.approx(math.fsum(rows), rel=1e-12, abs=0.0)
